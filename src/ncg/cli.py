@@ -2,34 +2,34 @@
 
 Subcommands: validate, bisect, kernels (sample | check | mul), verify,
 chern.  Exit codes: 0 all checks pass, 1 a verification failed (the
-counterexample is part of the JSON report on stdout), 2 malformed input.
+counterexample is part of the JSON report on stdout) or an internal fault
+was raised (its message is printed as {"error": ...} on stderr), 2 malformed
+input.
 
 Runs are deterministic for a given manifest and seed: every random draw
 comes from a stream derived by hashing (seed, suite, case, trial), and
-reports are ordered by case name.  NCG_WORKERS caps worker parallelism;
-the orchestrator currently evaluates sequentially, which respects any cap.
+reports are ordered by case name.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .bisections import bisection_basis, decompose
-from .chern import chern_form, verify_closedness
+from .chern import VerificationError, chern_form, verify_closedness
 from .coefficients import CoefficientError
-from .forms import AbReducer, FormError
+from .forms import FormError
 from .groupoid import GroupoidError, validate_bundle, validate_groupoid, validate_space
 from .io import (LoadError, form_to_json, kernel_to_json, load_form,
                  load_kernel, load_manifest, suite_parameters)
 from .kernels import (KernelError, KernelSampler, equivariance_residuals,
                       kernel_mul)
 from .modules import ConnectionData
-from .suites import SUITE_NAMES, derive_rng, run_suite
+from .suites import SUITE_NAMES, chern_reducers, derive_rng, run_suite
 
 INPUT_ERRORS = (LoadError, GroupoidError, FormError, KernelError,
                 CoefficientError, FileNotFoundError, KeyError,
@@ -166,16 +166,9 @@ def cmd_verify(args) -> int:
 def cmd_chern(args) -> int:
     fixture = load_manifest(args.manifest)
     u = Fraction(args.u)
-    max_degree = args.max_degree
-    chart = fixture.groupoid.model.kind == "chart"
-    if chart:
-        max_degree = min(max_degree, 2)
+    max_degree, reducers = chern_reducers(fixture.groupoid, args.max_degree)
     connection = _resolve_connection(fixture, u)
     components = chern_form(connection, u, max_degree)
-    bound = 6 if chart else 0
-    reducers = {2 * j + 1: AbReducer(fixture.groupoid, 2 * j + 1,
-                                     generator_bound=bound)
-                for j in range(max_degree // 2 + 1)}
     verdicts = verify_closedness(connection, u, max_degree, reducers)
     payload = {
         "fixture": fixture.name,
@@ -241,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    workers = os.environ.get("NCG_WORKERS")
-    if workers is not None and workers.isdigit():
-        pass  # a cap on parallel workers; evaluation is sequential
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except VerificationError as exc:  # a ValueError, but not an input fault
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 1
     except INPUT_ERRORS as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

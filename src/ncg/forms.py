@@ -479,12 +479,29 @@ def _form_index_subsets(dim: int):
     return sorted(subsets, key=lambda s: (len(s), s))
 
 
+BlockKey = Tuple[str, int, int]
+
+
 class AbReducer:
     """Row-reduced basis of the graded-commutator span at one total degree.
 
     Every basis vector is produced from literal commutators of delta-form
     generators, and the certificate of each reduction is an explicit
     combination of those commutators.
+
+    The span is a direct sum of blocks.  A commutator of two delta forms is
+    supported on tuples whose composite is x.y or y.x for the composites x
+    and y of the two generator tuples, and those two arrows are conjugate;
+    its simplicial degree is the sum of the generators' degrees, and on
+    charts its polynomial degree is too, because pullback is linear.  A
+    block is keyed by (conjugacy class of the composite, simplicial degree,
+    polynomial degree); the class of a loop is its least conjugate by arrow
+    name, and a non-loop is its own class.  Each block is row reduced on
+    its own, the first time a query touches it, from the generator pairs
+    that fall in it, in the global (degree, label, label) order.  Pivots,
+    residues and certificates are therefore those of one reducer holding
+    every commutator, while a query pays only for the blocks it meets:
+    traces and Chern forms live in the unit-class blocks.
     """
 
     def __init__(self, groupoid: GroupoidSpec, total_degree: int,
@@ -492,29 +509,93 @@ class AbReducer:
         self.groupoid = groupoid
         self.total_degree = total_degree
         self.generator_bound = generator_bound
-        self.reducer = RowReducer()
-        self.commutators: Dict = {}
-        bound = generator_bound if groupoid.model.kind == "chart" else 0
-        generators = _delta_generators(groupoid, total_degree, bound)
+        self._classes: Dict[str, str] = {}
+        # block -> [(global index, label1, form1, label2, form2, negate)]
+        self.pairs: Dict[BlockKey, list] = {}
+        # the blocks built so far, and per block the pivot commutators as
+        # label -> (global index, parts)
+        self.blocks: Dict[BlockKey, RowReducer] = {}
+        self._commutators: Dict[BlockKey, Dict] = {}
+        g = groupoid
+        bound = generator_bound if g.model.kind == "chart" else 0
+        generators = _delta_generators(g, total_degree, bound)
+        index = 0
         for d1_ in range(total_degree + 1):
             d2_ = total_degree - d1_
+            negate = (d1_ * d2_) % 2 == 0
             for label1, form1 in generators[d1_]:
+                x = g.compose_word(label1[1])
                 for label2, form2 in generators[d2_]:
                     if d1_ > d2_ or (d1_ == d2_ and label2 < label1):
                         continue
-                    lhs = form1.convolve(form2)
-                    rhs = form2.convolve(form1)
-                    comm_parts = [lhs, rhs if (d1_ * d2_) % 2 else -rhs]
-                    vec = flatten_sum(comm_parts)
-                    if not vec:
-                        continue
-                    label = ("comm", label1, label2)
-                    if self.reducer.insert(vec, label):
-                        self.commutators[label] = comm_parts
+                    y = g.compose_word(label2[1])
+                    if g.src[x] == g.tgt[y]:
+                        composite = g.mul(x, y)
+                    elif g.src[y] == g.tgt[x]:
+                        composite = g.mul(y, x)
+                    else:
+                        continue  # neither product is defined
+                    block = (self._class(composite),
+                             len(label1[1]) + len(label2[1]) - 2,
+                             _poly_degree(label1[2]) + _poly_degree(label2[2]))
+                    self.pairs.setdefault(block, []).append(
+                        (index, label1, form1, label2, form2, negate))
+                    index += 1
+
+    def _class(self, arrow: str) -> str:
+        cls = self._classes.get(arrow)
+        if cls is None:
+            g = self.groupoid
+            if g.src[arrow] != g.tgt[arrow]:
+                cls = arrow
+            else:
+                cls = min(g.mul(g.mul(h, arrow), g.inv(h))
+                          for h in g.source_fiber(g.tgt[arrow]))
+            self._classes[arrow] = cls
+        return cls
+
+    def block_of(self, coord) -> BlockKey:
+        """The block of one flattened coordinate (degree, tuple[, term])."""
+        poly = _poly_degree(coord[2]) if len(coord) == 3 else 0
+        return (self._class(self.groupoid.compose_word(coord[1])), coord[0], poly)
+
+    def _block(self, block: BlockKey) -> RowReducer:
+        reducer = self.blocks.get(block)
+        if reducer is None:
+            reducer = RowReducer()
+            commutators = {}
+            for index, label1, form1, label2, form2, negate in self.pairs.get(block, ()):
+                rhs = form2.convolve(form1)
+                comm_parts = [form1.convolve(form2), -rhs if negate else rhs]
+                vec = flatten_sum(comm_parts)
+                if not vec:
+                    continue
+                label = ("comm", label1, label2)
+                if reducer.insert(vec, label):
+                    commutators[label] = (index, comm_parts)
+            self.blocks[block] = reducer
+            self._commutators[block] = commutators
+        return reducer
+
+    def _build_all(self):
+        for block in self.pairs:
+            self._block(block)
 
     @property
     def rank(self) -> int:
-        return self.reducer.rank
+        """Rank of the whole span (builds every block)."""
+        self._build_all()
+        return sum(reducer.rank for reducer in self.blocks.values())
+
+    @property
+    def commutators(self) -> Dict:
+        """Label -> literal commutator parts of every pivot generator of the
+        whole span, in global generator order (builds every block)."""
+        self._build_all()
+        entries = [item for block in self._commutators.values()
+                   for item in block.items()]
+        entries.sort(key=lambda item: item[1][0])
+        return {label: parts for label, (_, parts) in entries}
 
     def reduce(self, forms) -> Tuple[Vector, Dict]:
         """Split a form (or list of components) into residue + combination."""
@@ -527,7 +608,16 @@ class AbReducer:
             if degs and degs != {self.total_degree}:
                 raise FormError(
                     f"form of total degree {sorted(degs)} reduced at degree {self.total_degree}")
-        return self.reducer.express(flatten_sum(forms))
+        split: Dict[BlockKey, Vector] = {}
+        for coord, value in flatten_sum(forms).items():
+            split.setdefault(self.block_of(coord), {})[coord] = value
+        residue: Vector = {}
+        combo: Dict = {}
+        for block, part in split.items():
+            block_residue, block_combo = self._block(block).express(part)
+            residue.update(block_residue)
+            combo.update(block_combo)
+        return residue, combo
 
     def is_zero_in_ab(self, forms):
         """True with an expressing combination, or False with the residue."""
@@ -537,10 +627,6 @@ class AbReducer:
         return True, combo
 
 
-def commutator_reducer(groupoid: GroupoidSpec, total_degree: int,
-                       generator_bound: int = 0) -> AbReducer:
-    return AbReducer(groupoid, total_degree, generator_bound)
-
-
-def is_zero_in_ab(form, reducer: AbReducer):
-    return reducer.is_zero_in_ab(form)
+def _poly_degree(term) -> int:
+    """Polynomial degree of a chart term key (exps, form); 0 on scalars."""
+    return 0 if term is None else sum(term[0])

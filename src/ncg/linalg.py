@@ -47,32 +47,48 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: Vector):
+    def _eliminate(self, vec: Vector):
+        """Reduce vec against the stored pivots; returns the residue and the
+        (pivot column, coefficient) steps taken, in order."""
         vec = dict(vec)
-        combo: Dict[Hashable, GaussRat] = {}
+        steps = []
+        pivots = self.pivots
         while True:
-            hit = None
-            for col in vec:
-                if col in self.pivots:
-                    hit = col
-                    break
+            hit = next((col for col in vec if col in pivots), None)
             if hit is None:
-                return vec, combo
+                return vec, steps
             coeff = vec[hit]
-            row, cert = self.pivots[hit]
-            vec = vec_add(vec, row, -coeff)
-            for label, c in cert.items():
+            steps.append((hit, coeff))
+            scale = -coeff
+            for key, value in pivots[hit][0].items():
+                acc = vec.get(key, GR_ZERO) + value * scale
+                if acc.is_zero():
+                    vec.pop(key, None)
+                else:
+                    vec[key] = acc
+
+    def _combine(self, steps) -> Dict[Hashable, GaussRat]:
+        """The generator combination that the elimination steps subtracted."""
+        combo: Dict[Hashable, GaussRat] = {}
+        for hit, coeff in steps:
+            for label, c in self.pivots[hit][1].items():
                 acc = combo.get(label, GR_ZERO) + coeff * c
                 if acc.is_zero():
                     combo.pop(label, None)
                 else:
                     combo[label] = acc
+        return combo
 
     def insert(self, vec: Vector, label: Hashable) -> bool:
-        """Add a generator; returns True if it enlarged the span."""
-        residue, combo = self._reduce(vec)
+        """Add a generator; returns True if it enlarged the span.
+
+        A dependent generator is rejected before any certificate work: the
+        combination is only assembled for a vector that becomes a pivot.
+        """
+        residue, steps = self._eliminate(vec)
         if not residue:
             return False
+        combo = self._combine(steps)
         col = min(residue, key=repr)  # deterministic across mixed key types
         inv = residue[col].inverse()
         row = vec_scale(residue, inv)
@@ -85,11 +101,8 @@ class RowReducer:
     def express(self, vec: Vector):
         """Split vec into (residue, combination-of-labels); residue empty
         exactly when vec lies in the current span."""
-        return self._reduce(vec)
-
-    def contains(self, vec: Vector) -> bool:
-        residue, _ = self._reduce(vec)
-        return not residue
+        residue, steps = self._eliminate(vec)
+        return residue, self._combine(steps)
 
 
 def nullspace(rows: Iterable[Vector], columns: Sequence[Hashable]) -> List[Vector]:

@@ -319,7 +319,7 @@ def run_bisection(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> di
         return None
 
     def germ_products(rng, trial):
-        bundle = fixture.bundle("rank1")
+        bundle = fixture.bundle(_bundle_keys(fixture)[0])
         u, v = pick_bisection(rng), pick_bisection(rng)
         F = random_section(bundle, rng)
         if germ_pullback(u.product(v), F) != germ_pullback(u, germ_pullback(v, F)):
@@ -494,11 +494,29 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
     return rec.report("kernels", fixture.name)
 
 
+# Polynomial-degree bound on chart generators of the commutator reducers,
+# per suite (AbReducer ignores it on scalar models).
+REDUCER_CHART_BOUNDS = {"theorem": 4, "chern": 6}
+
+
+def suite_reducer(groupoid, degree: int, suite: str) -> AbReducer:
+    """The graded-commutator reducer a suite checks its verdicts against."""
+    return AbReducer(groupoid, degree, generator_bound=REDUCER_CHART_BOUNDS[suite])
+
+
+def chern_reducers(groupoid, max_degree: int):
+    """The Chern degree actually checked (at most 2 on charts) and the
+    reducer for each d(component) degree 2j + 1 up to it."""
+    if groupoid.model.kind == "chart":
+        max_degree = min(max_degree, 2)
+    return max_degree, {2 * j + 1: suite_reducer(groupoid, 2 * j + 1, "chern")
+                        for j in range(max_degree // 2 + 1)}
+
+
 def _theorem_reducer(fixture: Fixture, degree: int,
                      cache: Dict[int, AbReducer]) -> AbReducer:
     if degree not in cache:
-        bound = 4 if fixture.groupoid.model.kind == "chart" else 0
-        cache[degree] = AbReducer(fixture.groupoid, degree, generator_bound=bound)
+        cache[degree] = suite_reducer(fixture.groupoid, degree, "theorem")
     return cache[degree]
 
 
@@ -561,11 +579,7 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
     g = fixture.groupoid
     rec = Recorder()
     chart = g.model.kind == "chart"
-    if chart:
-        max_degree = min(max_degree, 2)
-    degrees = [2 * j + 1 for j in range(max_degree // 2 + 1)]
-    bound = 6 if chart else 0
-    reducers = {d: AbReducer(g, d, generator_bound=bound) for d in degrees}
+    max_degree, reducers = chern_reducers(g, max_degree)
 
     for bundle_key in _bundle_keys(fixture):
         bundle = fixture.bundle(bundle_key)

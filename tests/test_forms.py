@@ -2,9 +2,11 @@ import pytest
 
 from ncg.coefficients import GaussRat, GR_I, GR_ONE, PolyFormCoeff
 from ncg.fixtures import cyclic_groupoid, load_fixture, pair_groupoid, unit_groupoid
-from ncg.forms import AbReducer, FormError, FormSum, NCForm, flatten_form
+from ncg.forms import (AbReducer, FormError, FormSum, NCForm, _delta_generators,
+                       flatten_form, flatten_sum)
+from ncg.linalg import RowReducer
 from ncg.reference import convolve_reference
-from ncg.suites import derive_rng, random_form
+from ncg.suites import derive_rng, random_form, random_gauss
 
 
 def test_normalization_drops_degenerate_tuples():
@@ -201,3 +203,62 @@ def test_associativity_randomized(fixture, rng):
             continue
         w1, w2, w3 = (random_form(g, d, rng) for d in degs)
         assert (w1 * w2) * w3 == w1 * (w2 * w3)
+
+
+def _eager_reducer(g, total_degree, bound):
+    """Every commutator of delta generators inserted into one RowReducer, in
+    global (degree, label, label) order: the oracle for the block reducer."""
+    reducer, commutators = RowReducer(), {}
+    generators = _delta_generators(g, total_degree, bound)
+    for d1_ in range(total_degree + 1):
+        d2_ = total_degree - d1_
+        for label1, form1 in generators[d1_]:
+            for label2, form2 in generators[d2_]:
+                if d1_ > d2_ or (d1_ == d2_ and label2 < label1):
+                    continue
+                rhs = form2.convolve(form1)
+                parts = [form1.convolve(form2), rhs if (d1_ * d2_) % 2 else -rhs]
+                label = ("comm", label1, label2)
+                vec = flatten_sum(parts)
+                if vec and reducer.insert(vec, label):
+                    commutators[label] = parts
+    return reducer, commutators
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_block_reducer_matches_eager_oracle(fixture, degree):
+    g = fixture.groupoid
+    bound = 2 if g.model.kind == "chart" else 0
+    eager, eager_commutators = _eager_reducer(g, degree, bound)
+    lazy = AbReducer(g, degree, generator_bound=bound)
+    rng = derive_rng(degree, "block-oracle", fixture.name)
+    commutators = list(eager_commutators.values())
+    generators = [form for _, form in _delta_generators(g, degree, bound)[degree]]
+    for _ in range(8):
+        query = []
+        for parts in rng.sample(commutators, min(3, len(commutators))):
+            scale = random_gauss(rng)
+            query += [part.scale(scale) for part in parts]
+        if generators and rng.random() < 0.5:
+            query.append(rng.choice(generators).scale(random_gauss(rng)))
+        assert lazy.reduce(query) == eager.express(flatten_sum(query))
+    assert lazy.rank == eager.rank
+    assert list(lazy.commutators) == list(eager_commutators)
+    assert lazy.commutators == eager_commutators
+    for parts in lazy.commutators.values():
+        assert len({lazy.block_of(c) for c in flatten_sum(parts)}) == 1
+
+
+def test_block_reducer_builds_only_queried_blocks():
+    g = load_fixture("z3").groupoid
+    reducer = AbReducer(g, 3)
+    unit_class = reducer.block_of((0, ("e",)))[0]
+    assert {block[0] for block in reducer.pairs} > {unit_class}
+    assert not reducer.blocks  # construction builds nothing
+    form = NCForm.delta(g, ("e", "g1", "g1", "g1"))  # composite is the unit
+    reducer.is_zero_in_ab(form + form.involute())
+    built = set(reducer.blocks)
+    assert built and {block[0] for block in built} == {unit_class}
+    assert built < set(reducer.pairs)
+    assert reducer.rank > 0  # the full-span rank builds every block
+    assert set(reducer.blocks) == set(reducer.pairs)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ncg
 
 from ncg.cli import main
 from ncg.coefficients import GaussRat, GR_ONE
@@ -78,7 +84,8 @@ def test_kernel_file_roundtrip(fixture, rng):
     assert loaded.equivariant and loaded.cocycle
 
 
-def test_manifest_from_files(tmp_path):
+def _write_z2_manifest(tmp_path):
+    """A file manifest for z2 whose only bundle is the manifest's `main`."""
     fx = load_fixture("z2")
     gpath = tmp_path / "groupoid.json"
     gpath.write_text(json.dumps(groupoid_to_json(fx.groupoid)))
@@ -100,6 +107,11 @@ def test_manifest_from_files(tmp_path):
         "h": "canonical",
         "suite": {"seed": 3, "trials": 7},
     }))
+    return manifest
+
+
+def test_manifest_from_files(tmp_path):
+    manifest = _write_z2_manifest(tmp_path)
     fixture = load_manifest(str(manifest))
     assert fixture.name == "custom-z2"
     assert fixture.bundle().rank == 1
@@ -216,3 +228,43 @@ def test_cli_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--suite", "algebra", "--fixture", "z2"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["cases"][0]["residue"]["coordinate"] == "x"
+
+
+def test_cli_bisection_on_single_bundle_manifest(tmp_path, capsys):
+    manifest = _write_z2_manifest(tmp_path)
+    assert list(load_manifest(str(manifest)).bundles) == ["main"]
+    assert main(["verify", "--suite", "bisection", "--fixture", str(manifest),
+                 "--trials", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["fixture"] == "custom-z2"
+
+
+def test_cli_verification_error_exits_1(capsys, monkeypatch):
+    # an internal fault is not malformed input, though it is a ValueError
+    import ncg.cli as cli_mod
+    from ncg.chern import VerificationError
+
+    def fake(name, fixture, **kw):
+        raise VerificationError("pipeline used inconsistently")
+    monkeypatch.setattr(cli_mod, "run_suite", fake)
+    assert main(["verify", "--suite", "theorem", "--fixture", "z2"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "pipeline used inconsistently"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "chern", "--fixture", "z3", "--max-degree", "2"],
+    ["verify", "--suite", "theorem", "--fixture", "pair2", "--trials", "3"],
+])
+def test_cli_reports_independent_of_hash_seed(argv):
+    src = str(Path(ncg.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-m", "ncg.cli", *argv],
+                             capture_output=True, text=True, env=env, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["passed"]
