@@ -17,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .coefficients import GaussRat
-from .forms import AbReducer, FormSum, NCForm
+from .coefficients import GaussRat, mat_mul
+from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import PartitionFunction
-from .kernels import (KernelError, KernelSum, SmoothingKernel, _mat_conv,
-                      _mat_mul, commutator_with_d, kernel_mul,
+from .kernels import (KernelError, SmoothingKernel, _mat_conv,
+                      commutator_with_d, kernel_mul, kernel_sum_mul,
                       operator_to_kernel, set_flags, translate_p)
 from .modules import ConnectionData
 
@@ -56,14 +56,14 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
     bundle = kernel.bundle
     g = bundle.groupoid
     space = bundle.space
-    n = kernel.slots
+    n = kernel.degree
     values: Dict[tuple, object] = {}
 
     if n == 0:
         for x in g.objects:
             total = None
             for p in space.fiber(x):
-                mat = kernel.entries.get((p, (), p))
+                mat = kernel.values.get((p, (), p))
                 if mat is None:
                     continue
                 weight = GaussRat(h(p) * space.measure[p])
@@ -91,7 +91,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                         continue
                     p0 = space.act(p, g.inv(gam2))
                     desc = (gam,) + tuple(reversed(chain[:-1]))
-                    mat = kernel.entries.get((p0, desc, p))
+                    mat = kernel.values.get((p0, desc, p))
                     if mat is None:
                         continue
                     term = _traced(bundle, translate_p(bundle, p0, gam2, mat), graded)
@@ -105,7 +105,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                             continue
                         pair = (gam2, gam) if transcription == "primary" else (gam, gam2)
                         desc = base_desc[:i - 1] + pair + base_desc[i:]
-                        mat = kernel.entries.get((p0, desc, p))
+                        mat = kernel.values.get((p0, desc, p))
                         if mat is None:
                             continue
                         term = _traced(bundle, translate_p(bundle, p0, chain[-1], mat),
@@ -117,7 +117,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
             if not g0_unit:
                 p0 = space.act(p, g.inv(chain[-1]))
                 desc = tuple(reversed(chain[:-1])) + (g0,)
-                mat = kernel.entries.get((p0, desc, p))
+                mat = kernel.values.get((p0, desc, p))
                 if mat is not None:
                     term = _traced(bundle, translate_p(bundle, p0, chain[-1], mat),
                                    graded)
@@ -137,11 +137,11 @@ def supertrace(kernel: SmoothingKernel, h: PartitionFunction,
     return trace_e(kernel, h, graded=True, transcription=transcription)
 
 
-def trace_sum(kernels: KernelSum, h: PartitionFunction, graded: bool = False,
-              transcription: str = "primary") -> FormSum:
-    groupoid = kernels.bundle.groupoid
-    return FormSum(groupoid, [trace_e(part, h, graded, transcription)
-                              for part in kernels.parts.values()])
+def trace_sum(kernels: GradedSum, h: PartitionFunction, graded: bool = False,
+              transcription: str = "primary") -> GradedSum:
+    groupoid = kernels.owner.groupoid
+    return GradedSum(NCForm, groupoid, [trace_e(part, h, graded, transcription)
+                                        for part in kernels.parts.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def trace_sum(kernels: KernelSum, h: PartitionFunction, graded: bool = False,
 # ---------------------------------------------------------------------------
 
 def curvature_kernels(connection: ConnectionData,
-                      u: Optional[Fraction] = None) -> KernelSum:
+                      u: Optional[Fraction] = None) -> GradedSum:
     """The square of the interpolated superconnection as verified kernels,
     one homogeneous slot component per simplicial degree."""
     bundle = connection.bundle
@@ -164,23 +164,23 @@ def curvature_kernels(connection: ConnectionData,
                     "curvature component failed the linearity flags; "
                     "this signals a sign error in the connection stack")
             parts.append(kernel)
-    return KernelSum(bundle, parts)
+    return GradedSum(SmoothingKernel, bundle, parts)
 
 
 def heat_exponential(connection: ConnectionData, max_degree: int,
-                     u: Optional[Fraction] = None) -> List[KernelSum]:
+                     u: Optional[Fraction] = None) -> List[GradedSum]:
     """Terms of exp(-curvature): term j is (-1)^j / j! times the j-th
     power, a sum of kernels of total degree 2j; the series terminates
     because every curvature component has positive total degree."""
     bundle = connection.bundle
-    terms = [KernelSum(bundle, [SmoothingKernel.delta(bundle)])]
+    terms = [GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])]
     if max_degree < 2:
         return terms
     curv = curvature_kernels(connection, u)
     power = terms[0]
     factorial = 1
     for j in range(1, max_degree // 2 + 1):
-        power = power.mul(curv)
+        power = kernel_sum_mul(power, curv)
         factorial *= j
         scale = GaussRat(Fraction(-1 if j % 2 else 1, factorial))
         terms.append(power.scale(scale))
@@ -188,10 +188,10 @@ def heat_exponential(connection: ConnectionData, max_degree: int,
 
 
 def chern_form(connection: ConnectionData, u: Optional[Fraction] = None,
-               max_degree: int = 4, transcription: str = "primary") -> Dict[int, FormSum]:
+               max_degree: int = 4, transcription: str = "primary") -> Dict[int, GradedSum]:
     """Degree-2j components of the supertrace of the heat exponential."""
     terms = heat_exponential(connection, max_degree, u)
-    out: Dict[int, FormSum] = {}
+    out: Dict[int, GradedSum] = {}
     for j, term in enumerate(terms):
         out[2 * j] = trace_sum(term, connection.h, graded=True,
                                transcription=transcription)
@@ -260,7 +260,7 @@ def verify_theorem(connection: ConnectionData, kernel: SmoothingKernel,
     commutator, reduced against the graded-commutator span."""
     h = connection.h
     tr = trace_e(kernel, h, transcription=transcription)
-    lhs = FormSum(tr.groupoid, [tr.d1(), tr.d2()])
+    lhs = GradedSum(NCForm, tr.groupoid, [tr.d1(), tr.d2()])
     commutator = commutator_with_d(connection, kernel)
     rhs = trace_sum(commutator, h, transcription=transcription)
     return reduce_in_ab(lhs - rhs, reducer, name)
@@ -272,7 +272,7 @@ def verify_trace_property(k1: SmoothingKernel, k2: SmoothingKernel,
     """Trace of k1*k2 minus (-1)^{|k1||k2|} trace of k2*k1 in the quotient."""
     t12 = trace_e(set_flags(kernel_mul(k1, k2)), h)
     t21 = trace_e(set_flags(kernel_mul(k2, k1)), h)
-    sign = -1 if (k1.slots * k2.slots) % 2 else 1
+    sign = -1 if (k1.degree * k2.degree) % 2 else 1
     diff = t12 - t21 if sign > 0 else t12 + t21
     return reduce_in_ab(diff, reducer, name)
 
@@ -304,30 +304,21 @@ def pointwise_trace(kernel: SmoothingKernel) -> NCForm:
     bundle = kernel.bundle
     g = bundle.groupoid
     values: Dict[tuple, object] = {}
-    for (P, desc, q), mat in kernel.entries.items():
+    for (P, desc, q), mat in kernel.values.items():
         chain = tuple(reversed(desc))
         if chain:
             g0 = g.inv(g.compose_word(chain))
             closing = _mat_conv(bundle, bundle.act_matrix(P, g0))
-            closed = _mat_mul(closing, mat)
+            closed = mat_mul(closing, mat)
         else:
             g0 = g.unit[bundle.space.moment[P]]
             closed = mat
-        key = (g0,) + chain
-        term = _traced(bundle, closed, graded=False)
-        if key in values:
-            acc = values[key] + term
-            if acc.is_zero():
-                del values[key]
-            else:
-                values[key] = acc
-        elif not term.is_zero():
-            values[key] = term
-    return NCForm(g, kernel.slots, values)
+        NCForm.put(values, (g0,) + chain, _traced(bundle, closed, graded=False))
+    return NCForm(g, kernel.degree, values)
 
 
 def chern_vector_bundle(connection: ConnectionData,
-                        max_degree: int = 4) -> Dict[int, FormSum]:
+                        max_degree: int = 4) -> Dict[int, GradedSum]:
     """Chern character of a connection on a bundle over the unit space.
 
     The irrational normalization of the exponential is kept as a formal
@@ -342,17 +333,17 @@ def chern_vector_bundle(connection: ConnectionData,
         raise VerificationError(
             "the vector-bundle Chern character lives over the unit space")
     curv = curvature_kernels(connection, Fraction(1))
-    out: Dict[int, FormSum] = {}
-    power = KernelSum(bundle, [SmoothingKernel.delta(bundle)])
+    out: Dict[int, GradedSum] = {}
+    power = GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])
     factorial = 1
     for j in range(max_degree // 2 + 1):
         if j:
-            power = power.mul(curv)
+            power = kernel_sum_mul(power, curv)
             factorial *= j
         scale = GaussRat(Fraction(1, factorial))
-        out[j] = FormSum(bundle.groupoid,
-                         [pointwise_trace(part).scale(scale)
-                          for part in power.parts.values()])
+        out[j] = GradedSum(NCForm, bundle.groupoid,
+                           [pointwise_trace(part).scale(scale)
+                            for part in power.parts.values()])
     return out
 
 

@@ -125,10 +125,10 @@ def cmd_kernels(args) -> int:
         return 0
     if args.action == "check":
         kernel = load_kernel(args.kernel, bundle, verify_flags=True)
-        payload = {"slots": kernel.slots,
+        payload = {"slots": kernel.degree,
                    "equivariant": kernel.equivariant,
                    "cocycle": kernel.cocycle}
-        if kernel.slots == 1 and not (kernel.equivariant and kernel.cocycle):
+        if kernel.degree == 1 and not (kernel.equivariant and kernel.cocycle):
             r1, r2 = equivariance_residuals(kernel)
             payload["violations"] = {
                 "interior": [str(k) for k in sorted(r1)][:10],

@@ -522,7 +522,7 @@ class CoefficientModel:
                 gh = multiply(g, h)
                 if gh is None:
                     continue
-                if mat_mul_gauss(self.matrices[g], self.matrices[h]) != self.matrices.get(gh):
+                if mat_mul(self.matrices[g], self.matrices[h]) != self.matrices.get(gh):
                     problems.append(f"matrix product for ({g!r}, {h!r}) != matrix of {gh!r}")
         return problems
 
@@ -547,10 +547,19 @@ SCALAR_MODEL = CoefficientModel("scalar")
 def identity_matrix(n: int):
     return tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
 
-def mat_mul_gauss(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), GR_ZERO)
-                       for j in range(m)) for i in range(n))
+def _dot(row, vec):
+    acc = None
+    for a, b in zip(row, vec):
+        term = a * b
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def mat_mul(a, b):
+    """Product of rectangular matrices with GaussRat or PolyFormCoeff
+    entries (the entries of one product share a model)."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +577,3 @@ def coeff_conj(a):
 
 def coeff_d(a):
     return a.exterior_d()
-
-def coeff_pullback(a, model: CoefficientModel, label: str):
-    return model.pullback(a, label)

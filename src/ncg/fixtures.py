@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .coefficients import (CoefficientModel, GaussRat, GR_ONE, GR_ZERO,
-                           PolyFormCoeff, identity_matrix, mat_mul_gauss)
+                           PolyFormCoeff, identity_matrix, mat_mul)
 from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidSpec,
                        PartitionFunction, canonical_h, right_regular_space,
                        transformation_groupoid, trivial_bundle,
@@ -128,7 +128,7 @@ def _z3_rotation_bundle(space: FiberedSpace) -> EquivariantBundle:
     order three; the invariant metric is the exact group average."""
     g = space.groupoid
     u = ((GR_ZERO, GaussRat(-1)), (GR_ONE, GaussRat(-1)))
-    powers = {"e": identity_matrix(2), "g1": u, "g2": mat_mul_gauss(u, u)}
+    powers = {"e": identity_matrix(2), "g1": u, "g2": mat_mul(u, u)}
     action = {}
     for p in space.points:
         for a in g.target_fiber(space.moment[p]):
@@ -137,7 +137,7 @@ def _z3_rotation_bundle(space: FiberedSpace) -> EquivariantBundle:
     third = GaussRat(1, 0, 3)
     for mat in powers.values():
         mstar = tuple(tuple(mat[j][i].conj() for j in range(2)) for i in range(2))
-        term = mat_mul_gauss(mstar, mat)
+        term = mat_mul(mstar, mat)
         metric_sum = term if metric_sum is None else tuple(
             tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(metric_sum, term))
     metric = tuple(tuple(v * third for v in row) for row in metric_sum)

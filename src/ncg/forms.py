@@ -29,9 +29,10 @@ of those laws exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import operator
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .coefficients import GR_ONE, GR_ZERO, GaussRat, PolyFormCoeff
+from .coefficients import GR_ONE, GaussRat, PolyFormCoeff
 from .groupoid import GroupoidSpec
 from .linalg import RowReducer, Vector
 
@@ -56,43 +57,123 @@ def _star_coeff(coeff, slot_degree: int):
     return PolyFormCoeff(coeff.dim, terms)
 
 
-class NCForm:
+class SparseForm:
+    """A finitely supported map from keys to values, all of one degree.
+
+    Forms, module forms and smoothing kernels share this shape: the keys
+    are composable tuples (with fiber points for module forms and kernels),
+    the values are coefficients, vectors or matrices of coefficients, and
+    no stored value is zero.  A subclass names its owner (a groupoid or a
+    bundle), validates keys on construction, and supplies how to add,
+    negate, scale and zero-test its kind of value; the defaults here are
+    the coefficient operations.
+    """
+
+    __slots__ = ("owner", "degree", "values")
+
+    error = FormError
+
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _is_zero = staticmethod(operator.methodcaller("is_zero"))
+
+    @staticmethod
+    def _scale(value, scalar):
+        return value.scale(scalar)
+
+    def __init__(self, owner, degree: int):
+        self.owner = owner
+        self.degree = degree
+        self.values: Dict = {}
+
+    @classmethod
+    def zero(cls, owner, degree: int):
+        return cls(owner, degree)
+
+    @classmethod
+    def put(cls, store: Dict, key, value):
+        """Add value into store[key]; a key whose sum is zero is dropped."""
+        if key in store:
+            value = cls._add(store[key], value)
+        if cls._is_zero(value):
+            store.pop(key, None)
+        else:
+            store[key] = value
+
+    def _like(self, values: Dict):
+        """A container on the same owner and degree holding values."""
+        out = type(self)(self.owner, self.degree)
+        out.values = values
+        return out
+
+    def _image(self, values: Dict):
+        """Like _like, for a negated or scaled copy of this container;
+        subclasses carry over what such a copy keeps."""
+        return self._like(values)
+
+    def is_zero(self) -> bool:
+        return not self.values
+
+    def entries(self):
+        return sorted(self.values.items())
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.owner is not self.owner:
+            raise self.error(f"cannot add {type(other).__name__} to {type(self).__name__}"
+                             " of another kind or owner")
+        if other.degree != self.degree:
+            raise self.error(f"cannot add {type(self).__name__}s of different degree")
+        values = dict(self.values)
+        for key, value in other.values.items():
+            self.put(values, key, value)
+        return self._like(values)
+
+    def __neg__(self):
+        neg = self._neg
+        return self._image({k: neg(v) for k, v in self.values.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        values = {}
+        for key, value in self.values.items():
+            value = self._scale(value, scalar)
+            if not self._is_zero(value):
+                values[key] = value
+        return self._image(values)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.owner is other.owner and self.degree == other.degree
+                and self.values == other.values)
+
+
+class NCForm(SparseForm):
     """An element of the degree-n part of the form complex."""
 
-    __slots__ = ("groupoid", "degree", "values")
+    __slots__ = ()
 
     def __init__(self, groupoid: GroupoidSpec, degree: int,
                  values: Optional[Dict[TupleKey, object]] = None):
-        self.groupoid = groupoid
-        self.degree = degree
-        clean: Dict[TupleKey, object] = {}
-        if values:
-            for key, coeff in values.items():
-                key = tuple(key)
-                if len(key) != degree + 1:
-                    raise FormError(f"tuple {key} has wrong length for degree {degree}")
-                for a, b in zip(key, key[1:]):
-                    if groupoid.src[a] != groupoid.tgt[b]:
-                        raise FormError(f"tuple {key} is not composable")
-                if any(groupoid.is_unit(a) for a in key[1:]):
-                    continue
-                coeff = groupoid.model.check_coefficient(coeff)
-                if coeff.is_zero():
-                    continue
-                prev = clean.get(key)
-                if prev is not None:
-                    coeff = prev + coeff
-                    if coeff.is_zero():
-                        del clean[key]
-                        continue
-                clean[key] = coeff
-        self.values = clean
+        super().__init__(groupoid, degree)
+        for key, coeff in (values or {}).items():
+            key = tuple(key)
+            if len(key) != degree + 1:
+                raise FormError(f"tuple {key} has wrong length for degree {degree}")
+            for a, b in zip(key, key[1:]):
+                if groupoid.src[a] != groupoid.tgt[b]:
+                    raise FormError(f"tuple {key} is not composable")
+            if any(groupoid.is_unit(a) for a in key[1:]):
+                continue
+            self.put(self.values, key, groupoid.model.check_coefficient(coeff))
+
+    @property
+    def groupoid(self) -> GroupoidSpec:
+        return self.owner
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls, groupoid: GroupoidSpec, degree: int) -> "NCForm":
-        return cls(groupoid, degree)
 
     @classmethod
     def delta(cls, groupoid: GroupoidSpec, key: Sequence[str], coeff=1) -> "NCForm":
@@ -108,12 +189,6 @@ class NCForm:
 
     # -- structure ---------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def entries(self):
-        return sorted(self.values.items())
-
     def coeff(self, key: Sequence[str]):
         return self.values.get(tuple(key), self.groupoid.model.zero())
 
@@ -126,54 +201,8 @@ class NCForm:
     def total_degrees(self) -> set:
         return {self.degree + m for m in self.form_degrees()}
 
-    def _check_mate(self, other: "NCForm"):
-        if self.groupoid is not other.groupoid:
-            raise FormError("forms live on different groupoids")
-
-    # -- linear operations ----------------------------------------------------------
-
-    def __add__(self, other: "NCForm") -> "NCForm":
-        self._check_mate(other)
-        if self.degree != other.degree:
-            raise FormError("cannot add forms of different simplicial degree")
-        values = dict(self.values)
-        for key, coeff in other.values.items():
-            acc = values.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                values.pop(key, None)
-            else:
-                values[key] = acc
-        out = NCForm(self.groupoid, self.degree)
-        out.values = values
-        return out
-
-    def __neg__(self) -> "NCForm":
-        out = NCForm(self.groupoid, self.degree)
-        out.values = {k: -c for k, c in self.values.items()}
-        return out
-
-    def __sub__(self, other: "NCForm") -> "NCForm":
-        return self + (-other)
-
-    def scale(self, scalar) -> "NCForm":
-        out = NCForm(self.groupoid, self.degree)
-        values = {}
-        for key, coeff in self.values.items():
-            c = coeff.scale(scalar) if isinstance(coeff, PolyFormCoeff) else coeff * scalar
-            if not c.is_zero():
-                values[key] = c
-        out.values = values
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCForm):
-            return NotImplemented
-        return (self.groupoid is other.groupoid and self.degree == other.degree
-                and self.values == other.values)
-
     def __hash__(self):
-        return hash((id(self.groupoid), self.degree,
+        return hash((id(self.owner), self.degree,
                      tuple(sorted((k, str(v)) for k, v in self.values.items()))))
 
     def __repr__(self):
@@ -193,23 +222,16 @@ class NCForm:
         whole.  Left coefficients are transported along the right tuple's
         composite word and pass its l slots with the graded cross sign.
         """
-        self._check_mate(other)
+        if self.owner is not other.owner:
+            raise FormError("forms live on different groupoids")
         g = self.groupoid
         k, l = self.degree, other.degree
         chart = g.model.kind == "chart"
         out: Dict[TupleKey, object] = {}
 
         def put(key: TupleKey, coeff, negate: bool):
-            if any(g.is_unit(a) for a in key[1:]):
-                return
-            if negate:
-                coeff = -coeff
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            if not any(g.is_unit(a) for a in key[1:]):
+                NCForm.put(out, key, -coeff if negate else coeff)
 
         for t2, c2 in other.values.items():
             word2 = g.compose_word(t2)
@@ -250,16 +272,8 @@ class NCForm:
         out: Dict[TupleKey, object] = {}
 
         def put(key: TupleKey, coeff, negate: bool):
-            if any(g.is_unit(a) for a in key[1:]):
-                return
-            if negate:
-                coeff = -coeff
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            if not any(g.is_unit(a) for a in key[1:]):
+                NCForm.put(out, key, -coeff if negate else coeff)
 
         for t, c in self.values.items():
             coeff = _star_coeff(c, k)
@@ -307,102 +321,68 @@ class NCForm:
         result.values = out
         return result
 
-    def d_total(self) -> List["NCForm"]:
-        """Components of (d1 + d2): same-degree piece, degree+1 piece."""
-        return [self.d1(), self.d2()]
-
-
-def convolve(w1: NCForm, w2: NCForm) -> NCForm:
-    return w1.convolve(w2)
-
-
-def involute(w: NCForm) -> NCForm:
-    return w.involute()
-
-
-def d1(w: NCForm) -> NCForm:
-    return w.d1()
-
-
-def d2(w: NCForm) -> NCForm:
-    return w.d2()
-
 
 # ---------------------------------------------------------------------------
-# Mixed-degree sums (needed once d1 and d2 are combined)
+# Mixed-degree sums (forms once d1 and d2 are combined, module forms under
+# a superconnection, kernels of a heat exponential)
 # ---------------------------------------------------------------------------
 
-class FormSum:
-    """A finite sum of NCForms of distinct simplicial degrees."""
+class GradedSum:
+    """A finite sum of containers of one kind (NCForm, ModuleForm or
+    SmoothingKernel) on one owner, one part per degree."""
 
-    __slots__ = ("groupoid", "parts")
+    __slots__ = ("kind", "owner", "parts")
 
-    def __init__(self, groupoid: GroupoidSpec, parts: Iterable[NCForm] = ()):
-        self.groupoid = groupoid
-        self.parts: Dict[int, NCForm] = {}
+    def __init__(self, kind, owner, parts: Iterable[SparseForm] = ()):
+        self.kind = kind
+        self.owner = owner
+        self.parts: Dict[int, SparseForm] = {}
         for part in parts:
-            self._accumulate(part)
+            self.accumulate(part)
 
-    def _accumulate(self, form: NCForm):
-        if form.is_zero():
-            return
-        prev = self.parts.get(form.degree)
-        total = form if prev is None else prev + form
-        if total.is_zero():
-            self.parts.pop(form.degree, None)
-        else:
-            self.parts[form.degree] = total
+    def accumulate(self, part: SparseForm):
+        # parts add and zero-test like coefficients, so the default put fits
+        SparseForm.put(self.parts, part.degree, part)
 
-    @classmethod
-    def of(cls, *forms: NCForm) -> "FormSum":
-        if not forms:
-            raise FormError("FormSum.of needs at least one form")
-        return cls(forms[0].groupoid, forms)
-
-    def component(self, degree: int) -> NCForm:
-        return self.parts.get(degree, NCForm(self.groupoid, degree))
-
-    def degrees(self):
-        return sorted(self.parts)
+    def component(self, degree: int) -> SparseForm:
+        part = self.parts.get(degree)
+        return self.kind.zero(self.owner, degree) if part is None else part
 
     def is_zero(self) -> bool:
         return not self.parts
 
-    def __add__(self, other: "FormSum") -> "FormSum":
-        out = FormSum(self.groupoid, self.parts.values())
+    def scale(self, scalar) -> "GradedSum":
+        return GradedSum(self.kind, self.owner,
+                         [p.scale(scalar) for p in self.parts.values()])
+
+    def __add__(self, other: "GradedSum") -> "GradedSum":
+        out = GradedSum(self.kind, self.owner, self.parts.values())
         for part in other.parts.values():
-            out._accumulate(part)
+            out.accumulate(part)
         return out
 
-    def __sub__(self, other: "FormSum") -> "FormSum":
-        out = FormSum(self.groupoid, self.parts.values())
+    def __sub__(self, other: "GradedSum") -> "GradedSum":
+        out = GradedSum(self.kind, self.owner, self.parts.values())
         for part in other.parts.values():
-            out._accumulate(-part)
+            out.accumulate(-part)
         return out
 
-    def d_total(self) -> "FormSum":
-        out = FormSum(self.groupoid)
+    def d_total(self) -> "GradedSum":
+        """(d1 + d2) of a sum of forms."""
+        out = GradedSum(self.kind, self.owner)
         for part in self.parts.values():
-            out._accumulate(part.d1())
-            out._accumulate(part.d2())
+            out.accumulate(part.d1())
+            out.accumulate(part.d2())
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, FormSum):
+        if not isinstance(other, GradedSum):
             return NotImplemented
-        return self.groupoid is other.groupoid and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((id(self.groupoid), tuple(sorted(self.parts))))
+        return (self.kind is other.kind and self.owner is other.owner
+                and self.parts == other.parts)
 
     def __repr__(self):
-        return f"FormSum({list(self.parts.values())!r})"
-
-
-def d_total(w) -> FormSum:
-    if isinstance(w, NCForm):
-        return FormSum(w.groupoid, [w.d1(), w.d2()])
-    return w.d_total()
+        return f"GradedSum({self.kind.__name__}, {list(self.parts.values())!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +405,7 @@ def flatten_sum(forms: Iterable[NCForm]) -> Vector:
     vec: Vector = {}
     for form in forms:
         for coord, value in flatten_form(form).items():
-            acc = vec.get(coord, GR_ZERO) + value
-            if acc.is_zero():
-                vec.pop(coord, None)
-            else:
-                vec[coord] = acc
+            SparseForm.put(vec, coord, value)
     return vec
 
 
@@ -601,7 +577,7 @@ class AbReducer:
         """Split a form (or list of components) into residue + combination."""
         if isinstance(forms, NCForm):
             forms = [forms]
-        elif isinstance(forms, FormSum):
+        elif isinstance(forms, GradedSum):
             forms = list(forms.parts.values())
         for form in forms:
             degs = form.total_degrees()

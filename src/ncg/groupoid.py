@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .coefficients import (CoefficientModel, GaussRat, GR_ONE, GR_ZERO,
-                           SCALAR_MODEL, identity_matrix, mat_mul_gauss)
+                           SCALAR_MODEL, identity_matrix, mat_mul)
 from .linalg import is_positive_definite_hermitian, mat_inverse, solve
 
 
@@ -163,10 +163,6 @@ class GroupoidSpec:
     def __repr__(self):
         return (f"GroupoidSpec({self.name}: {len(self.objects)} objects, "
                 f"{len(self.arrows)} arrows, {self.model!r})")
-
-
-def enumerate_tuples(groupoid: GroupoidSpec, n: int) -> List[Tuple[str, ...]]:
-    return groupoid.composable_tuples(n)
 
 
 def validate_groupoid(g: GroupoidSpec) -> ValidationReport:
@@ -532,13 +528,13 @@ def validate_bundle(bundle: EquivariantBundle) -> ValidationReport:
             pa = space.act(p, a)
             for b in g.target_fiber(g.src[a]):
                 ab = g.mul(a, b)
-                lhs = mat_mul_gauss(bundle.act_matrix(pa, b), mat)
+                lhs = mat_mul(bundle.act_matrix(pa, b), mat)
                 if lhs != bundle.act_matrix(p, ab):
                     report.add(f"cocycle fails on ({p!r}, {a!r}, {b!r})")
             # metric invariance <e1 a, e2 a> = <e1, e2>:  A^* H_{pa} A == H_p
             astar = tuple(tuple(mat[j][i].conj() for j in range(bundle.rank))
                           for i in range(bundle.rank))
-            if mat_mul_gauss(astar, mat_mul_gauss(bundle.metric[pa], mat)) != bundle.metric[p]:
+            if mat_mul(astar, mat_mul(bundle.metric[pa], mat)) != bundle.metric[p]:
                 report.add(f"metric not invariant along ({p!r}, {a!r})")
         if not is_positive_definite_hermitian(bundle.metric[p]):
             report.add(f"metric at {p!r} is not Hermitian positive definite")
@@ -550,7 +546,7 @@ def validate_bundle(bundle: EquivariantBundle) -> ValidationReport:
     eps = tuple(tuple(GaussRat(bundle.grading[i]) if i == j else GR_ZERO
                       for j in range(bundle.rank)) for i in range(bundle.rank))
     for (p, a), mat in bundle.action.items():
-        if mat_mul_gauss(eps, mat) != mat_mul_gauss(mat, eps):
+        if mat_mul(eps, mat) != mat_mul(mat, eps):
             report.add(f"bundle action at ({p!r}, {a!r}) does not preserve the grading")
             break
     return report

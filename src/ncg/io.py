@@ -13,7 +13,7 @@ import json
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from .coefficients import CoefficientModel, GaussRat, PolyFormCoeff
 from .fixtures import Fixture, bundled_fixtures, load_fixture
@@ -23,7 +23,7 @@ from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidError,
                        right_regular_space, validate_bundle, validate_groupoid,
                        validate_space)
 from .kernels import SmoothingKernel, set_flags
-from .modules import ConnectionData, Section
+from .modules import Section
 
 
 class LoadError(ValueError):
@@ -198,20 +198,6 @@ def load_partition(source, space: FiberedSpace) -> PartitionFunction:
     return PartitionFunction(space, values)
 
 
-def load_connection(source, bundle: EquivariantBundle,
-                    h: Optional[PartitionFunction] = None) -> ConnectionData:
-    data = _read(source)
-    model = bundle.groupoid.model
-    if h is None:
-        h = load_partition(data.get("h", "canonical"), bundle.space)
-    horizontal = None
-    if data.get("horizontal"):
-        horizontal = {p: _matrix_from_json(model, mat)
-                      for p, mat in data["horizontal"].items()}
-    u = Fraction(data.get("u", 1))
-    return ConnectionData(bundle, h, horizontal=horizontal, u=u)
-
-
 # ---------------------------------------------------------------------------
 # Form and kernel files
 # ---------------------------------------------------------------------------
@@ -273,10 +259,10 @@ def load_kernel(source, bundle: EquivariantBundle,
 
 def kernel_to_json(kernel: SmoothingKernel) -> dict:
     return {
-        "slots": kernel.slots,
+        "slots": kernel.degree,
         "entries": [{"p": p, "gammas": list(gam), "q": q,
                      "matrix": [[coeff_to_json(v) for v in row] for row in mat]}
-                    for (p, gam, q), mat in sorted(kernel.entries.items())],
+                    for (p, gam, q), mat in kernel.entries()],
         "flags": {"equivariant": kernel.equivariant, "cocycle": kernel.cocycle},
     }
 

@@ -17,15 +17,15 @@ K2 after K1 equals applying K2 * K1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .coefficients import GR_ONE, GR_ZERO, GaussRat, PolyFormCoeff
-from .forms import NCForm
+from .coefficients import GR_ONE, GR_ZERO, GaussRat, PolyFormCoeff, _dot, mat_mul
+from .forms import GradedSum, NCForm, SparseForm, _bounded_monomials
 from .groupoid import EquivariantBundle, FiberedSpace, GroupoidError
 from .linalg import nullspace
-from .modules import (ConnectionData, ModuleForm, ModuleSum, Section,
-                      as_module_form, module_keys, vector_rep,
-                      _dot, _transport_vec, _vec_add, _vec_is_zero)
+from .modules import (ConnectionData, ModuleForm, Section, as_module_form,
+                      module_keys, vector_rep, _transport_vec, _vec_neg,
+                      _vec_scale)
 
 
 class KernelError(ValueError):
@@ -78,12 +78,6 @@ def _mat_scale_form_degree(m, parity: int):
     return tuple(tuple(c.scale_by_form_degree(1) for c in row) for row in m)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(_dot(a[i], tuple(b[t][j] for t in range(n)))
-                       for j in range(n)) for i in range(n))
-
-
 def _mat_transport(groupoid, m, word):
     if groupoid.model.kind == "scalar" or not word:
         return m
@@ -96,128 +90,98 @@ def _mat_conv(bundle, m):
     return tuple(tuple(model.from_gauss(v) for v in row) for row in m)
 
 
-class SmoothingKernel:
-    """A sparse k-slot kernel with optional verified linearity flags."""
+class SmoothingKernel(SparseForm):
+    """A sparse k-slot kernel with optional verified linearity flags; its
+    degree is the slot count."""
 
-    __slots__ = ("bundle", "slots", "entries", "equivariant", "cocycle")
+    __slots__ = ("equivariant", "cocycle")
 
-    def __init__(self, bundle: EquivariantBundle, slots: int,
-                 entries: Optional[Mapping[KernelKey, Sequence[Sequence]]] = None,
+    error = KernelError
+
+    _add = staticmethod(_mat_add)
+    _neg = staticmethod(_mat_neg)
+    _scale = staticmethod(_mat_scale)
+    _is_zero = staticmethod(_mat_is_zero)
+
+    def __init__(self, bundle: EquivariantBundle, degree: int,
+                 values: Optional[Mapping[KernelKey, Sequence[Sequence]]] = None,
                  equivariant: Optional[bool] = None,
                  cocycle: Optional[bool] = None):
-        self.bundle = bundle
-        self.slots = slots
+        super().__init__(bundle, degree)
         self.equivariant = equivariant
         self.cocycle = cocycle
         g = bundle.groupoid
         space = bundle.space
         model = g.model
-        clean: Dict[KernelKey, tuple] = {}
-        if entries:
-            for (p, desc, q), mat in entries.items():
-                desc = tuple(desc)
-                if len(desc) != slots:
-                    raise KernelError(f"key {(p, desc, q)} has wrong slot count")
-                chain = tuple(reversed(desc))
-                if any(g.is_unit(a) for a in chain):
-                    raise KernelError(f"unit slot in kernel key {(p, desc, q)}")
-                for a, b in zip(chain, chain[1:]):
-                    if g.src[a] != g.tgt[b]:
-                        raise KernelError(f"slots of {(p, desc, q)} not composable")
-                if slots:
-                    if space.moment[q] != g.tgt[chain[0]]:
-                        raise KernelError(f"q-side fiber condition fails on {(p, desc, q)}")
-                    if space.moment[p] != g.src[chain[-1]]:
-                        raise KernelError(f"p-side fiber condition fails on {(p, desc, q)}")
-                elif space.moment[p] != space.moment[q]:
-                    raise KernelError(f"0-slot key {(p, q)} joins different fibers")
-                mat = tuple(tuple(model.check_coefficient(v) for v in row)
-                            for row in mat)
-                if len(mat) != bundle.rank or any(len(r) != bundle.rank for r in mat):
-                    raise KernelError(f"matrix at {(p, desc, q)} has wrong shape")
-                if not _mat_is_zero(mat):
-                    clean[(p, desc, q)] = mat
-        self.entries = clean
+        for (p, desc, q), mat in (values or {}).items():
+            desc = tuple(desc)
+            if len(desc) != degree:
+                raise KernelError(f"key {(p, desc, q)} has wrong slot count")
+            chain = tuple(reversed(desc))
+            if any(g.is_unit(a) for a in chain):
+                raise KernelError(f"unit slot in kernel key {(p, desc, q)}")
+            for a, b in zip(chain, chain[1:]):
+                if g.src[a] != g.tgt[b]:
+                    raise KernelError(f"slots of {(p, desc, q)} not composable")
+            if degree:
+                if space.moment[q] != g.tgt[chain[0]]:
+                    raise KernelError(f"q-side fiber condition fails on {(p, desc, q)}")
+                if space.moment[p] != g.src[chain[-1]]:
+                    raise KernelError(f"p-side fiber condition fails on {(p, desc, q)}")
+            elif space.moment[p] != space.moment[q]:
+                raise KernelError(f"0-slot key {(p, q)} joins different fibers")
+            mat = tuple(tuple(model.check_coefficient(v) for v in row)
+                        for row in mat)
+            if len(mat) != bundle.rank or any(len(r) != bundle.rank for r in mat):
+                raise KernelError(f"matrix at {(p, desc, q)} has wrong shape")
+            self.put(self.values, (p, desc, q), mat)
+
+    @property
+    def bundle(self) -> EquivariantBundle:
+        return self.owner
+
+    def _image(self, values):
+        out = self._like(values)
+        out.equivariant, out.cocycle = self.equivariant, self.cocycle
+        return out
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, bundle: EquivariantBundle, slots: int) -> "SmoothingKernel":
-        return cls(bundle, slots, equivariant=True, cocycle=True)
+    def zero(cls, bundle: EquivariantBundle, degree: int) -> "SmoothingKernel":
+        return cls(bundle, degree, equivariant=True, cocycle=True)
 
     @classmethod
     def delta(cls, bundle: EquivariantBundle) -> "SmoothingKernel":
         """The identity operator: diagonal matrices scaled by 1/measure."""
         model = bundle.groupoid.model
-        entries = {}
+        values = {}
         for p in bundle.space.points:
             inv = GaussRat(Fraction(1, 1) / bundle.space.measure[p])
             mat = tuple(tuple(model.from_gauss(inv if i == j else GR_ZERO)
                               for j in range(bundle.rank))
                         for i in range(bundle.rank))
-            entries[(p, (), p)] = mat
-        return cls(bundle, 0, entries, equivariant=True, cocycle=True)
+            values[(p, (), p)] = mat
+        return cls(bundle, 0, values, equivariant=True, cocycle=True)
 
     # -- structure ----------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def matrix(self, key: KernelKey):
         model = self.bundle.groupoid.model
         zero = tuple(tuple(model.zero() for _ in range(self.bundle.rank))
                      for _ in range(self.bundle.rank))
-        return self.entries.get(key, zero)
+        return self.values.get(key, zero)
 
     def form_degrees(self) -> set:
         out = set()
-        for mat in self.entries.values():
+        for mat in self.values.values():
             for row in mat:
                 for c in row:
                     out |= c.form_degrees()
         return out
 
-    def __add__(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        if other.slots != self.slots:
-            raise KernelError("cannot add kernels with different slot counts")
-        entries = dict(self.entries)
-        for key, mat in other.entries.items():
-            acc = _mat_add(entries[key], mat) if key in entries else mat
-            if _mat_is_zero(acc):
-                entries.pop(key, None)
-            else:
-                entries[key] = acc
-        out = SmoothingKernel(self.bundle, self.slots)
-        out.entries = entries
-        return out
-
-    def __neg__(self) -> "SmoothingKernel":
-        out = SmoothingKernel(self.bundle, self.slots,
-                              equivariant=self.equivariant, cocycle=self.cocycle)
-        out.entries = {k: _mat_neg(m) for k, m in self.entries.items()}
-        return out
-
-    def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        return self + (-other)
-
-    def scale(self, scalar) -> "SmoothingKernel":
-        out = SmoothingKernel(self.bundle, self.slots,
-                              equivariant=self.equivariant, cocycle=self.cocycle)
-        out.entries = {}
-        for k, m in self.entries.items():
-            sm = _mat_scale(m, scalar)
-            if not _mat_is_zero(sm):
-                out.entries[k] = sm
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SmoothingKernel):
-            return NotImplemented
-        return (self.bundle is other.bundle and self.slots == other.slots
-                and self.entries == other.entries)
-
     def __repr__(self):
-        return (f"SmoothingKernel(slots={self.slots}, {len(self.entries)} entries, "
+        return (f"SmoothingKernel(degree={self.degree}, {len(self.values)} entries, "
                 f"equivariant={self.equivariant}, cocycle={self.cocycle})")
 
 
@@ -231,14 +195,14 @@ def translate_p(bundle: EquivariantBundle, p: str, gamma: str, mat):
     g = bundle.groupoid
     moved = _mat_transport(g, mat, (gamma,))
     act = _mat_conv(bundle, bundle.act_matrix(p, gamma))
-    return _mat_mul(act, moved)
+    return mat_mul(act, moved)
 
 
 def translate_q(bundle: EquivariantBundle, q: str, gamma: str, mat):
     """Move the q-index along gamma: right-multiply by the inverse action
     matrix (the p-side chart is untouched)."""
     act_inv = _mat_conv(bundle, bundle.act_matrix_inv(q, gamma))
-    return _mat_mul(mat, act_inv)
+    return mat_mul(mat, act_inv)
 
 
 def act_AB(kernel: SmoothingKernel, gamma: str, side: str) -> SmoothingKernel:
@@ -254,7 +218,7 @@ def act_AB(kernel: SmoothingKernel, gamma: str, side: str) -> SmoothingKernel:
     space = bundle.space
     g = bundle.groupoid
     out: Dict[KernelKey, tuple] = {}
-    for (p, desc, q), mat in kernel.entries.items():
+    for (p, desc, q), mat in kernel.values.items():
         if side == "A":
             if space.moment[p] != g.tgt[gamma]:
                 raise GroupoidError(f"cannot A-translate {(p, desc, q)} along {gamma!r}")
@@ -263,8 +227,8 @@ def act_AB(kernel: SmoothingKernel, gamma: str, side: str) -> SmoothingKernel:
             if space.moment[q] != g.tgt[gamma]:
                 raise GroupoidError(f"cannot B-translate {(p, desc, q)} along {gamma!r}")
             out[(p, desc, space.act(q, gamma))] = translate_q(bundle, q, gamma, mat)
-    result = SmoothingKernel(bundle, kernel.slots)
-    result.entries = out
+    result = SmoothingKernel(bundle, kernel.degree)
+    result.values = out
     return result
 
 
@@ -281,10 +245,10 @@ def apply_kernel(kernel: SmoothingKernel, f) -> ModuleForm:
     g = bundle.groupoid
     space = bundle.space
     chart = g.model.kind == "chart"
-    k, l = kernel.slots, F.degree
+    k, l = kernel.degree, F.degree
     negate_kl = (k * l) % 2 == 1
     out: Dict[Tuple[str, tuple], tuple] = {}
-    for (P, desc, qhat), mat in kernel.entries.items():
+    for (P, desc, qhat), mat in kernel.values.items():
         if chart:
             mat = _mat_scale_form_degree(mat, l)
         weight = GaussRat(space.measure[qhat])
@@ -295,21 +259,11 @@ def apply_kernel(kernel: SmoothingKernel, f) -> ModuleForm:
                 continue
             moved = _transport_vec(g, vec, chain) if chart else vec
             value = tuple(_dot(mat[i], moved) for i in range(bundle.rank))
-            value = tuple(c.scale(weight) if chart else c * weight for c in value)
+            value = _vec_scale(value, weight)
             if negate_kl:
-                value = tuple(-c for c in value)
-            if _vec_is_zero(value):
-                continue
+                value = _vec_neg(value)
             p = space.act_word(P, back + [g.inv(a) for a in reversed(bs)])
-            key = (p, bs + chain)
-            if key in out:
-                acc = _vec_add(out[key], value)
-                if _vec_is_zero(acc):
-                    del out[key]
-                else:
-                    out[key] = acc
-            else:
-                out[key] = value
+            ModuleForm.put(out, (p, bs + chain), value)
     result = ModuleForm(bundle, k + l)
     result.values = out
     return result
@@ -323,34 +277,24 @@ def kernel_mul(k1: SmoothingKernel, k2: SmoothingKernel) -> SmoothingKernel:
     g = bundle.groupoid
     space = bundle.space
     chart = g.model.kind == "chart"
-    negate = (k1.slots * k2.slots) % 2 == 1
+    negate = (k1.degree * k2.degree) % 2 == 1
     out: Dict[KernelKey, tuple] = {}
-    for (p, desc1, mid), m1 in k1.entries.items():
+    for (p, desc1, mid), m1 in k1.values.items():
         if chart:
-            m1 = _mat_scale_form_degree(m1, k2.slots)
+            m1 = _mat_scale_form_degree(m1, k2.degree)
         weight = GaussRat(space.measure[mid])
         word1 = tuple(reversed(desc1))
-        for (mid2, desc2, q), m2 in k2.entries.items():
+        for (mid2, desc2, q), m2 in k2.values.items():
             if mid2 != mid:
                 continue
             moved = _mat_transport(g, m2, word1) if chart else m2
-            mat = _mat_mul(m1, moved)
+            mat = mat_mul(m1, moved)
             mat = _mat_scale(mat, weight)
             if negate:
                 mat = _mat_neg(mat)
-            if _mat_is_zero(mat):
-                continue
-            key = (p, desc1 + desc2, q)
-            if key in out:
-                acc = _mat_add(out[key], mat)
-                if _mat_is_zero(acc):
-                    del out[key]
-                else:
-                    out[key] = acc
-            else:
-                out[key] = mat
-    result = SmoothingKernel(bundle, k1.slots + k2.slots)
-    result.entries = out
+            SmoothingKernel.put(out, (p, desc1 + desc2, q), mat)
+    result = SmoothingKernel(bundle, k1.degree + k2.degree)
+    result.values = out
     if k1.equivariant and k2.equivariant:
         result.equivariant = True
     if k1.cocycle and k2.cocycle:
@@ -358,68 +302,20 @@ def kernel_mul(k1: SmoothingKernel, k2: SmoothingKernel) -> SmoothingKernel:
     return result
 
 
-class KernelSum:
-    """A finite sum of kernels with distinct slot counts."""
+def kernel_sum_mul(a: GradedSum, b: GradedSum) -> GradedSum:
+    """Product of two sums of kernels, part by part."""
+    out = GradedSum(SmoothingKernel, a.owner)
+    for x in a.parts.values():
+        for y in b.parts.values():
+            out.accumulate(kernel_mul(x, y))
+    return out
 
-    __slots__ = ("bundle", "parts")
 
-    def __init__(self, bundle: EquivariantBundle,
-                 parts: Iterable[SmoothingKernel] = ()):
-        self.bundle = bundle
-        self.parts: Dict[int, SmoothingKernel] = {}
-        for part in parts:
-            self.accumulate(part)
-
-    def accumulate(self, part: SmoothingKernel):
-        if part.is_zero():
-            return
-        prev = self.parts.get(part.slots)
-        total = part if prev is None else prev + part
-        if total.is_zero():
-            self.parts.pop(part.slots, None)
-        else:
-            self.parts[part.slots] = total
-
-    def component(self, slots: int) -> SmoothingKernel:
-        return self.parts.get(slots, SmoothingKernel.zero(self.bundle, slots))
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def scale(self, scalar) -> "KernelSum":
-        return KernelSum(self.bundle, [p.scale(scalar) for p in self.parts.values()])
-
-    def __add__(self, other: "KernelSum") -> "KernelSum":
-        out = KernelSum(self.bundle, self.parts.values())
-        for part in other.parts.values():
-            out.accumulate(part)
-        return out
-
-    def __sub__(self, other: "KernelSum") -> "KernelSum":
-        out = KernelSum(self.bundle, self.parts.values())
-        for part in other.parts.values():
-            out.accumulate(-part)
-        return out
-
-    def mul(self, other: "KernelSum") -> "KernelSum":
-        out = KernelSum(self.bundle)
-        for a in self.parts.values():
-            for b in other.parts.values():
-                out.accumulate(kernel_mul(a, b))
-        return out
-
-    def apply(self, f) -> ModuleSum:
-        F = as_module_form(f)
-        return ModuleSum(self.bundle,
-                         [apply_kernel(part, F) for part in self.parts.values()])
-
-    def __eq__(self, other):
-        if not isinstance(other, KernelSum):
-            return NotImplemented
-        return self.bundle is other.bundle and self.parts == other.parts
-
-    def __repr__(self):
-        return f"KernelSum(slots {sorted(self.parts)})"
+def apply_kernel_sum(kernels: GradedSum, f) -> GradedSum:
+    """Apply a sum of kernels to a module form (or section)."""
+    F = as_module_form(f)
+    return GradedSum(ModuleForm, kernels.owner,
+                     [apply_kernel(part, F) for part in kernels.parts.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +361,7 @@ def equivariance_residuals(kernel: SmoothingKernel):
     the free arrow in the slot vanishes.  Returns two dicts of nonzero
     residual matrices keyed by their witnesses.
     """
-    if kernel.slots != 1:
+    if kernel.degree != 1:
         raise KernelError("residual formulas are stated for one-slot kernels")
     bundle = kernel.bundle
     g = bundle.groupoid
@@ -494,7 +390,7 @@ def equivariance_residuals(kernel: SmoothingKernel):
             entry = kernel.matrix((space.act(P, gamma), (gamma,), q_shift))
             moved = _mat_transport(g, entry, (g.inv(gamma),))
             act = _mat_conv(bundle, bundle.act_matrix_inv(P, gamma))
-            total = _mat_add(total, _mat_mul(act, moved))
+            total = _mat_add(total, mat_mul(act, moved))
         if not _mat_is_zero(total):
             res2[(P, sigma, q)] = total
     return res1, res2
@@ -502,7 +398,7 @@ def equivariance_residuals(kernel: SmoothingKernel):
 
 def set_flags(kernel: SmoothingKernel) -> SmoothingKernel:
     """Verify and record form-linearity on the kernel (in place)."""
-    if kernel.slots == 1:
+    if kernel.degree == 1:
         r1, r2 = equivariance_residuals(kernel)
         kernel.equivariant = not r1
         kernel.cocycle = not r2
@@ -520,25 +416,8 @@ def set_flags(kernel: SmoothingKernel) -> SmoothingKernel:
 def _coefficient_basis(model, poly_degree: int):
     if model.kind == "scalar":
         return [None]  # a single GaussRat unknown per matrix position
-    terms = []
-    for deg in range(poly_degree + 1):
-        for exps in _monomials_of_degree(model.dim, deg):
-            terms.append((exps, ()))
-    return terms
-
-
-def _monomials_of_degree(dim, deg):
-    if dim == 1:
-        return [(deg,)]
-    out = []
-    def rec(prefix, left):
-        if len(prefix) == dim - 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], left - e)
-    rec([], deg)
-    return out
+    return [(exps, ()) for exps in sorted(_bounded_monomials(model.dim, poly_degree),
+                                          key=sum)]
 
 
 def _basis_kernel(bundle, slots, key, i, j, term):
@@ -550,7 +429,7 @@ def _basis_kernel(bundle, slots, key, i, j, term):
     mat = tuple(tuple(coeff if (a, b) == (i, j) else model.zero()
                       for b in range(bundle.rank)) for a in range(bundle.rank))
     out = SmoothingKernel(bundle, slots)
-    out.entries = {key: mat}
+    out.values = {key: mat}
     return out
 
 
@@ -637,9 +516,9 @@ def kernel_from_coordinates(bundle, slots, coords: Mapping[tuple, GaussRat]):
             mat[i][j] = mat[i][j] + PolyFormCoeff.monomial(
                 model.dim, term[0], term[1], value)
     out = SmoothingKernel(bundle, slots)
-    out.entries = {k: tuple(tuple(row) for row in m)
-                   for k, m in entries.items()
-                   if not _mat_is_zero(m)}
+    out.values = {k: tuple(tuple(row) for row in m)
+                  for k, m in entries.items()
+                  if not _mat_is_zero(m)}
     return out
 
 
@@ -670,11 +549,7 @@ class KernelSampler:
                 continue
             nonzero = True
             for col, value in vec.items():
-                acc = coords.get(col, GR_ZERO) + c * value
-                if acc.is_zero():
-                    coords.pop(col, None)
-                else:
-                    coords[col] = acc
+                SparseForm.put(coords, col, c * value)
         if not nonzero:
             first = self.basis[0]
             coords = dict(first)
@@ -704,12 +579,18 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle, slots: int,
     """
     space = bundle.space
     model = bundle.groupoid.model
+
+    def image(F, degree):
+        out = op(F)
+        if not isinstance(out, GradedSum):
+            out = GradedSum(ModuleForm, bundle, [as_module_form(out)])
+        return out.component(degree)
+
     entries: Dict[KernelKey, list] = {}
     for qhat in space.points:
         inv_measure = GaussRat(Fraction(1, 1) / space.measure[qhat])
         for j in range(bundle.rank):
-            image = _as_module_sum(op(Section.delta(bundle, qhat, j)), bundle)
-            comp = image.component(slots)
+            comp = image(Section.delta(bundle, qhat, j), slots)
             for (p, word), vec in comp.values.items():
                 P = space.act_word(p, word)
                 key = (P, tuple(reversed(word)), qhat)
@@ -724,7 +605,7 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle, slots: int,
     for qhat in space.points:
         for j in range(bundle.rank):
             F = Section.delta(bundle, qhat, j)
-            expect = _as_module_sum(op(F), bundle).component(slots)
+            expect = image(F, slots)
             if apply_kernel(kernel, F) != expect:
                 raise KernelError(
                     f"operator is not a {slots}-slot smoothing operator "
@@ -734,7 +615,7 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle, slots: int,
             for j in range(bundle.rank):
                 F = ModuleForm.delta(bundle, key[0], key[1], j)
                 try:
-                    expect = _as_module_sum(op(F), bundle).component(slots + 1)
+                    expect = image(F, slots + 1)
                 except TypeError:
                     break
                 if apply_kernel(kernel, F) != expect:
@@ -750,25 +631,18 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle, slots: int,
     return kernel
 
 
-def _as_module_sum(image, bundle) -> ModuleSum:
-    if isinstance(image, ModuleSum):
-        return image
-    out = ModuleSum(bundle)
-    out.accumulate(image)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The commutator with the superconnection
 # ---------------------------------------------------------------------------
 
 def commutator_with_d(connection: ConnectionData,
                       kernel: SmoothingKernel,
-                      test_mode: bool = False) -> KernelSum:
+                      test_mode: bool = False) -> GradedSum:
     """Kernel of the graded commutator with the (u-independent)
     superconnection: the simplicial part appends one slot at either end
-    with partition-function weights; the horizontal part differentiates
-    the entries and commutes with the connection matrices.
+    with partition-function weights; on charts the horizontal part
+    differentiates the entries and, when the connection has matrices,
+    commutes with them.
 
     The result is asserted against the operator-level graded commutator on
     the delta basis.  ``test_mode`` bypasses the linearity precondition and
@@ -781,24 +655,12 @@ def commutator_with_d(connection: ConnectionData,
     g = bundle.groupoid
     space = bundle.space
     chart = g.model.kind == "chart"
-    k = kernel.slots
+    k = kernel.degree
     sign_k = -1 if k % 2 else 1
+    put = SmoothingKernel.put
 
     nabla_entries: Dict[KernelKey, tuple] = {}
-
-    def put(store, key, mat):
-        if _mat_is_zero(mat):
-            return
-        if key in store:
-            acc = _mat_add(store[key], mat)
-            if _mat_is_zero(acc):
-                del store[key]
-            else:
-                store[key] = acc
-        else:
-            store[key] = mat
-
-    for (P, desc, q), mat in kernel.entries.items():
+    for (P, desc, q), mat in kernel.values.items():
         # new slot at the p-adjacent end
         for gamma in g.target_fiber(space.moment[P]):
             if g.is_unit(gamma):
@@ -823,28 +685,27 @@ def commutator_with_d(connection: ConnectionData,
             put(nabla_entries, (P, desc + (gamma,), new_q), _mat_neg(moved))
 
     nabla_part = SmoothingKernel(bundle, k + 1)
-    nabla_part.entries = nabla_entries
+    nabla_part.values = nabla_entries
     parts = [nabla_part]
 
-    if connection.horizontal is not None:
+    if chart:
         hor_entries: Dict[KernelKey, tuple] = {}
         amats = connection.horizontal
-        for (P, desc, q), mat in kernel.entries.items():
-            chain = tuple(reversed(desc))
-            a_p = amats[P]
-            a_q = _mat_transport(g, amats[q], chain)
-            dmat = tuple(tuple(c.exterior_d() for c in row) for row in mat)
-            left = _mat_mul(a_p, mat)
-            right = _mat_mul(_mat_scale_form_degree(mat, 1), a_q)
-            total = _mat_add(dmat, _mat_add(left, _mat_neg(right)))
+        for (P, desc, q), mat in kernel.values.items():
+            total = tuple(tuple(c.exterior_d() for c in row) for row in mat)
+            if amats is not None:
+                a_q = _mat_transport(g, amats[q], tuple(reversed(desc)))
+                left = mat_mul(amats[P], mat)
+                right = mat_mul(_mat_scale_form_degree(mat, 1), a_q)
+                total = _mat_add(total, _mat_add(left, _mat_neg(right)))
             if sign_k < 0:
                 total = _mat_neg(total)
             put(hor_entries, (P, desc, q), total)
         hor_part = SmoothingKernel(bundle, k)
-        hor_part.entries = hor_entries
+        hor_part.values = hor_entries
         parts.append(hor_part)
 
-    result = KernelSum(bundle, parts)
+    result = GradedSum(SmoothingKernel, bundle, parts)
     _assert_commutator(connection, kernel, result)
     for part in result.parts.values():
         if test_mode:
@@ -864,15 +725,15 @@ def _assert_commutator(connection, kernel, result):
     bundle = kernel.bundle
     pieces = kernel_split_by_form_degree(kernel)
     for F in Section.basis(bundle):
-        rhs = ModuleSum(bundle)
+        rhs = GradedSum(ModuleForm, bundle)
         dF = connection.apply_d(F)
         for m, piece in pieces.items():
             for part in connection.apply_d(apply_kernel(piece, F)).parts.values():
                 rhs.accumulate(part)
-            sign = GaussRat(1 if (kernel.slots + m) % 2 else -1)
+            sign = GaussRat(1 if (kernel.degree + m) % 2 else -1)
             for part in dF.parts.values():
                 rhs.accumulate(apply_kernel(piece, part).scale(sign))
-        if result.apply(F) != rhs:
+        if apply_kernel_sum(result, F) != rhs:
             raise KernelError("commutator kernel disagrees with the operator side")
 
 
@@ -883,7 +744,7 @@ def kernel_split_by_form_degree(kernel: SmoothingKernel) -> Dict[int, SmoothingK
         return {0: kernel}
     buckets: Dict[int, Dict[KernelKey, list]] = {}
     rank = kernel.bundle.rank
-    for key, mat in kernel.entries.items():
+    for key, mat in kernel.values.items():
         for i in range(rank):
             for j in range(rank):
                 for (exps, form), v in mat[i][j].terms.items():
@@ -895,8 +756,8 @@ def kernel_split_by_form_degree(kernel: SmoothingKernel) -> Dict[int, SmoothingK
                         model.dim, exps, form, v)
     out = {}
     for m, entries in buckets.items():
-        kk = SmoothingKernel(kernel.bundle, kernel.slots)
-        kk.entries = {k: tuple(tuple(row) for row in mmat)
-                      for k, mmat in entries.items()}
+        kk = SmoothingKernel(kernel.bundle, kernel.degree)
+        kk.values = {k: tuple(tuple(row) for row in mmat)
+                     for k, mmat in entries.items()}
         out[m] = kk
     return out

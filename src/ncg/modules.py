@@ -18,10 +18,10 @@ weighted by a partition function.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .coefficients import GaussRat, PolyFormCoeff
-from .forms import FormError, NCForm
+from .coefficients import GaussRat, _dot, mat_mul
+from .forms import FormError, GradedSum, NCForm, SparseForm
 from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidError,
                        PartitionFunction, ValidationReport)
 from .linalg import mat_inverse
@@ -31,16 +31,16 @@ def _vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
+def _vec_neg(u):
+    return tuple(-c for c in u)
+
+
+def _vec_scale(u, scalar):
+    return tuple(c.scale(scalar) for c in u)
+
+
 def _vec_is_zero(u) -> bool:
     return all(c.is_zero() for c in u)
-
-
-def _dot(row, vec):
-    acc = None
-    for a, b in zip(row, vec):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _transport_vec(groupoid, vec, word):
@@ -102,7 +102,7 @@ class Section:
 
     def __neg__(self) -> "Section":
         out = Section(self.bundle)
-        out.values = {p: tuple(-c for c in v) for p, v in self.values.items()}
+        out.values = {p: _vec_neg(v) for p, v in self.values.items()}
         return out
 
     def __sub__(self, other: "Section") -> "Section":
@@ -110,11 +110,7 @@ class Section:
 
     def scale(self, scalar) -> "Section":
         out = Section(self.bundle)
-        out.values = {}
-        for p, v in self.values.items():
-            out.values[p] = tuple(
-                c.scale(scalar) if isinstance(c, PolyFormCoeff) else c * scalar
-                for c in v)
+        out.values = {p: _vec_scale(v, scalar) for p, v in self.values.items()}
         return out
 
     def __eq__(self, other):
@@ -133,44 +129,41 @@ class Section:
         return f"Section({{{bits}}})"
 
 
-class ModuleForm:
+class ModuleForm(SparseForm):
     """A degree-n form with values in the bundle, sparse over keys."""
 
-    __slots__ = ("bundle", "degree", "values")
+    __slots__ = ()
+
+    _add = staticmethod(_vec_add)
+    _neg = staticmethod(_vec_neg)
+    _scale = staticmethod(_vec_scale)
+    _is_zero = staticmethod(_vec_is_zero)
 
     def __init__(self, bundle: EquivariantBundle, degree: int,
                  values: Optional[Mapping[Tuple[str, tuple], Sequence]] = None):
-        self.bundle = bundle
-        self.degree = degree
+        super().__init__(bundle, degree)
         g = bundle.groupoid
         space = bundle.space
         model = g.model
-        clean: Dict[Tuple[str, tuple], tuple] = {}
-        if values:
-            for (p, word), vec in values.items():
-                word = tuple(word)
-                if len(word) != degree:
-                    raise FormError(f"key {(p, word)} has wrong degree")
-                if any(g.is_unit(a) for a in word):
-                    continue
-                if word and space.moment[p] != g.tgt[word[0]]:
-                    raise FormError(f"moment condition fails on {(p, word)}")
-                for a, b in zip(word, word[1:]):
-                    if g.src[a] != g.tgt[b]:
-                        raise FormError(f"slots of {(p, word)} are not composable")
-                vec = tuple(model.check_coefficient(c) for c in vec)
-                if len(vec) != bundle.rank:
-                    raise FormError(f"value at {(p, word)} has wrong rank")
-                if _vec_is_zero(vec):
-                    continue
-                key = (p, word)
-                if key in clean:
-                    vec = _vec_add(clean[key], vec)
-                    if _vec_is_zero(vec):
-                        del clean[key]
-                        continue
-                clean[key] = vec
-        self.values = clean
+        for (p, word), vec in (values or {}).items():
+            word = tuple(word)
+            if len(word) != degree:
+                raise FormError(f"key {(p, word)} has wrong degree")
+            if any(g.is_unit(a) for a in word):
+                continue
+            if word and space.moment[p] != g.tgt[word[0]]:
+                raise FormError(f"moment condition fails on {(p, word)}")
+            for a, b in zip(word, word[1:]):
+                if g.src[a] != g.tgt[b]:
+                    raise FormError(f"slots of {(p, word)} are not composable")
+            vec = tuple(model.check_coefficient(c) for c in vec)
+            if len(vec) != bundle.rank:
+                raise FormError(f"value at {(p, word)} has wrong rank")
+            self.put(self.values, (p, word), vec)
+
+    @property
+    def bundle(self) -> EquivariantBundle:
+        return self.owner
 
     @classmethod
     def delta(cls, bundle: EquivariantBundle, p: str, word: Sequence[str],
@@ -189,12 +182,6 @@ class ModuleForm:
                 out.append(cls.delta(bundle, p, word, j))
         return out
 
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def entries(self):
-        return sorted(self.values.items())
-
     def value(self, p: str, word: Sequence[str]):
         model = self.bundle.groupoid.model
         zero = tuple(model.zero() for _ in range(self.bundle.rank))
@@ -203,48 +190,6 @@ class ModuleForm:
     def endpoint(self, key) -> str:
         p, word = key
         return self.bundle.space.act_word(p, word)
-
-    def __add__(self, other: "ModuleForm") -> "ModuleForm":
-        if self.degree != other.degree:
-            raise FormError("cannot add module forms of different degree")
-        vals = dict(self.values)
-        for key, vec in other.values.items():
-            if key in vals:
-                acc = _vec_add(vals[key], vec)
-                if _vec_is_zero(acc):
-                    del vals[key]
-                else:
-                    vals[key] = acc
-            else:
-                vals[key] = vec
-        out = ModuleForm(self.bundle, self.degree)
-        out.values = vals
-        return out
-
-    def __neg__(self) -> "ModuleForm":
-        out = ModuleForm(self.bundle, self.degree)
-        out.values = {k: tuple(-c for c in v) for k, v in self.values.items()}
-        return out
-
-    def __sub__(self, other: "ModuleForm") -> "ModuleForm":
-        return self + (-other)
-
-    def scale(self, scalar) -> "ModuleForm":
-        out = ModuleForm(self.bundle, self.degree)
-        vals = {}
-        for k, v in self.values.items():
-            vec = tuple(c.scale(scalar) if isinstance(c, PolyFormCoeff) else c * scalar
-                        for c in v)
-            if not _vec_is_zero(vec):
-                vals[k] = vec
-        out.values = vals
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleForm):
-            return NotImplemented
-        return (self.bundle is other.bundle and self.degree == other.degree
-                and self.values == other.values)
 
     def to_section(self) -> Section:
         if self.degree != 0:
@@ -269,59 +214,6 @@ def module_keys(space: FiberedSpace, degree: int):
         for p in space.fiber(g.tgt[word[0]]):
             out.append((p, word))
     return out
-
-
-class ModuleSum:
-    """A finite sum of module forms of distinct degrees."""
-
-    __slots__ = ("bundle", "parts")
-
-    def __init__(self, bundle: EquivariantBundle, parts: Iterable[ModuleForm] = ()):
-        self.bundle = bundle
-        self.parts: Dict[int, ModuleForm] = {}
-        for part in parts:
-            self.accumulate(part)
-
-    def accumulate(self, part):
-        if isinstance(part, Section):
-            part = part.to_module_form()
-        if part.is_zero():
-            return
-        prev = self.parts.get(part.degree)
-        total = part if prev is None else prev + part
-        if total.is_zero():
-            self.parts.pop(part.degree, None)
-        else:
-            self.parts[part.degree] = total
-
-    def component(self, degree: int) -> ModuleForm:
-        return self.parts.get(degree, ModuleForm(self.bundle, degree))
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def scale(self, scalar) -> "ModuleSum":
-        return ModuleSum(self.bundle, [p.scale(scalar) for p in self.parts.values()])
-
-    def __add__(self, other: "ModuleSum") -> "ModuleSum":
-        out = ModuleSum(self.bundle, self.parts.values())
-        for part in other.parts.values():
-            out.accumulate(part)
-        return out
-
-    def __sub__(self, other: "ModuleSum") -> "ModuleSum":
-        out = ModuleSum(self.bundle, self.parts.values())
-        for part in other.parts.values():
-            out.accumulate(-part)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleSum):
-            return NotImplemented
-        return self.bundle is other.bundle and self.parts == other.parts
-
-    def __repr__(self):
-        return f"ModuleSum({sorted(self.parts)})"
 
 
 def as_module_form(f) -> ModuleForm:
@@ -351,19 +243,8 @@ def vector_rep(omega: NCForm, f) -> object:
     out: Dict[Tuple[str, tuple], tuple] = {}
 
     def put(p, word, vec, negate):
-        if any(g.is_unit(a) for a in word):
-            return
-        if negate:
-            vec = tuple(-c for c in vec)
-        key = (p, word)
-        if key in out:
-            acc = _vec_add(out[key], vec)
-            if _vec_is_zero(acc):
-                del out[key]
-            else:
-                out[key] = acc
-        else:
-            out[key] = vec
+        if not any(g.is_unit(a) for a in word):
+            ModuleForm.put(out, (p, word), _vec_neg(vec) if negate else vec)
 
     for (q, bs), value in F.values.items():
         vp = space.act_word(q, bs)  # the fiber point where the value lives
@@ -492,20 +373,10 @@ def nabla01(f, h: PartitionFunction) -> ModuleForm:
             if chart:
                 moved = _transport_vec(g, vec, (gamma,))
             pushed = tuple(_dot(mat[i], moved) for i in range(bundle.rank))
-            pushed = tuple(c.scale(weight) if chart else c * weight for c in pushed)
+            pushed = _vec_scale(pushed, weight)
             if negate:
-                pushed = tuple(-c for c in pushed)
-            if _vec_is_zero(pushed):
-                continue
-            key = (p, word + (gamma,))
-            if key in out:
-                acc = _vec_add(out[key], pushed)
-                if _vec_is_zero(acc):
-                    del out[key]
-                else:
-                    out[key] = acc
-            else:
-                out[key] = pushed
+                pushed = _vec_neg(pushed)
+            ModuleForm.put(out, (p, word + (gamma,)), pushed)
     result = ModuleForm(bundle, F.degree + 1)
     result.values = out
     return result
@@ -632,7 +503,7 @@ class ConnectionData:
                                    for v in row) for row in bundle.metric[p])
                 hinv = tuple(tuple(bundle.groupoid.model.from_gauss(v)
                                    for v in row) for row in mat_inverse(bundle.metric[p]))
-                prod = _mat_mul_coeff(hinv, _mat_mul_coeff(at, hmat))
+                prod = mat_mul(hinv, mat_mul(at, hmat))
                 out[p] = tuple(tuple(-v.conj() for v in row) for row in prod)
             self._adjoint = out
         return self._adjoint
@@ -665,18 +536,19 @@ class ConnectionData:
 
     # -- superconnections ---------------------------------------------------------------
 
-    def apply_d(self, f) -> ModuleSum:
+    def apply_d(self, f) -> GradedSum:
         """D = horizontal + simplicial."""
         F = as_module_form(f)
-        return ModuleSum(self.bundle, [self._horizontal_apply(F, self.horizontal),
-                                       nabla01(F, self.h)])
+        return GradedSum(ModuleForm, self.bundle,
+                         [self._horizontal_apply(F, self.horizontal), nabla01(F, self.h)])
 
-    def apply_d_adjoint(self, f) -> ModuleSum:
+    def apply_d_adjoint(self, f) -> GradedSum:
         F = as_module_form(f)
-        return ModuleSum(self.bundle, [self._horizontal_apply(F, self.adjoint_horizontal()),
-                                       nabla01(F, self.h)])
+        return GradedSum(ModuleForm, self.bundle,
+                         [self._horizontal_apply(F, self.adjoint_horizontal()),
+                          nabla01(F, self.h)])
 
-    def apply_du(self, f, u: Optional[Fraction] = None) -> ModuleSum:
+    def apply_du(self, f, u: Optional[Fraction] = None) -> GradedSum:
         """D(u) = u D + (1 - u) D'."""
         u = self.u if u is None else Fraction(u)
         F = as_module_form(f)
@@ -686,8 +558,8 @@ class ConnectionData:
         adj = self.apply_d_adjoint(F)
         return plain.scale(GaussRat(u)) + adj.scale(GaussRat(1 - u))
 
-    def apply_du_sum(self, forms: ModuleSum, u: Optional[Fraction] = None) -> ModuleSum:
-        out = ModuleSum(self.bundle)
+    def apply_du_sum(self, forms: GradedSum, u: Optional[Fraction] = None) -> GradedSum:
+        out = GradedSum(ModuleForm, self.bundle)
         for part in forms.parts.values():
             out = out + self.apply_du(part, u)
         return out
@@ -696,13 +568,6 @@ class ConnectionData:
         def op(f):
             return self.apply_du_sum(self.apply_du(f, u), u)
         return op
-
-
-def _mat_mul_coeff(a, b):
-    n = len(a)
-    return tuple(tuple(_dot([a[i][t] for t in range(n)],
-                            [b[t][j] for t in range(n)]) for j in range(n))
-                 for i in range(n))
 
 
 def adjunction_residual(c: ConnectionData, u1: Section, u2: Section):

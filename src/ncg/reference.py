@@ -58,7 +58,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
     bundle = kernel.bundle
     g = bundle.groupoid
     space = bundle.space
-    n = kernel.slots
+    n = kernel.degree
     values: Dict[tuple, object] = {}
     for tup in g.composable_tuples(n + 1):
         word = g.compose_word(tup)
@@ -70,7 +70,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
             weight = GaussRat(h(p) * space.measure[p])
             bracket = None
             if n == 0:
-                mat = kernel.entries.get((p, (), p))
+                mat = kernel.values.get((p, (), p))
                 if mat is not None:
                     bracket = _traced(bundle, mat, graded)
             else:
@@ -78,7 +78,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
                     for gam, gam2 in g.decompositions(rest[-1]):
                         p0_key = (space.act(p, g.inv(gam2)),
                                   (gam,) + tuple(reversed(rest[:-1])), p)
-                        mat = kernel.entries.get(p0_key)
+                        mat = kernel.values.get(p0_key)
                         if mat is None:
                             continue
                         term = _traced(bundle, translate_p(
@@ -89,7 +89,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
                             desc = tuple(reversed(rest[:-1]))
                             desc = desc[:i - 1] + (gam2, gam) + desc[i:]
                             p0 = space.act(p, g.inv(rest[-1]))
-                            mat = kernel.entries.get((p0, desc, p))
+                            mat = kernel.values.get((p0, desc, p))
                             if mat is None:
                                 continue
                             term = _traced(bundle, translate_p(
@@ -99,7 +99,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
                             bracket = term if bracket is None else bracket + term
                 p0 = space.act(p, g.inv(rest[-1]))
                 desc = tuple(reversed(rest[:-1])) + (g0,)
-                mat = kernel.entries.get((p0, desc, p))
+                mat = kernel.values.get((p0, desc, p))
                 if mat is not None:
                     term = _traced(bundle, translate_p(bundle, p0, rest[-1], mat),
                                    graded)

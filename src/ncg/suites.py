@@ -20,13 +20,13 @@ from .chern import (Verdict, chern_vector_bundle, trace_e,
                     verify_vb_closedness)
 from .coefficients import GaussRat, PolyFormCoeff
 from .fixtures import Fixture
-from .forms import AbReducer, FormSum, NCForm
+from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import canonical_h, trivial_bundle, unit_space
 from .kernels import (KernelSampler, SmoothingKernel, apply_kernel,
                       equivariance_residuals, kernel_keys, kernel_mul,
                       omega_linearity_failures)
-from .modules import (ConnectionData, ModuleForm, ModuleSum, Section,
-                      as_module_form, inner_product, module_keys, vector_rep)
+from .modules import (ConnectionData, ModuleForm, Section, as_module_form,
+                      inner_product, module_keys, vector_rep)
 from .reference import convolve_reference, trace_reference
 
 SUITE_NAMES = ("algebra", "bisection", "module", "kernels", "theorem", "chern")
@@ -106,7 +106,7 @@ def random_raw_kernel(bundle, slots: int, rng: random.Random,
                       for _ in range(bundle.rank))
                 for _ in range(bundle.rank))
     out = SmoothingKernel(bundle, slots)
-    out.entries = entries
+    out.values = entries
     return out
 
 
@@ -181,7 +181,7 @@ def run_algebra(fixture: Fixture, seed: int = 0, trials: int = 200, **_) -> dict
 
     def d_squared(rng, trial):
         w = random_form(g, rng.randint(0, 2), rng)
-        dd = FormSum(g, [w.d1(), w.d2()]).d_total()
+        dd = GradedSum(NCForm, g, [w.d1(), w.d2()]).d_total()
         if not dd.is_zero():
             return {"degree": w.degree}
         return None
@@ -202,10 +202,11 @@ def run_algebra(fixture: Fixture, seed: int = 0, trials: int = 200, **_) -> dict
             w1 = random_form(g, k, rng)
         w2 = random_form(g, l, rng)
         total = k + m1
-        lhs = FormSum(g, [w1 * w2]).d_total()
+        lhs = GradedSum(NCForm, g, [w1 * w2]).d_total()
         sign = GaussRat(-1 if total % 2 else 1)
-        rhs = FormSum(g, [w1.d1() * w2, w1.d2() * w2,
-                          (w1 * w2.d1()).scale(sign), (w1 * w2.d2()).scale(sign)])
+        rhs = GradedSum(NCForm, g, [w1.d1() * w2, w1.d2() * w2,
+                                    (w1 * w2.d1()).scale(sign),
+                                    (w1 * w2.d2()).scale(sign)])
         if (lhs - rhs).parts:
             return {"degrees": [k, l], "form-degree": m1}
         return None
@@ -396,7 +397,7 @@ def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
             f = random_function(g, rng)
             F = random_section(b, rng)
             lhs = c.apply_du(vector_rep(f, F), u)
-            rhs = ModuleSum(b)
+            rhs = GradedSum(ModuleForm, b)
             for part in c.apply_du(F, u).parts.values():
                 rhs.accumulate(vector_rep(f, part))
             rhs.accumulate(as_module_form(vector_rep(f.d1(), F)))
@@ -458,7 +459,7 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
         ks = [random_raw_kernel(bundle, rng.choice([0, 1]), rng) for _ in range(3)]
         if kernel_mul(kernel_mul(ks[0], ks[1]), ks[2]) != \
                 kernel_mul(ks[0], kernel_mul(ks[1], ks[2])):
-            return {"slots": [k.slots for k in ks]}
+            return {"slots": [k.degree for k in ks]}
         return None
 
     def mul_apply(rng, trial):
@@ -467,7 +468,7 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
         F = random_section(bundle, rng)
         if apply_kernel(kernel_mul(k2, k1), F) != \
                 apply_kernel(k2, apply_kernel(k1, F)):
-            return {"slots": [k1.slots, k2.slots]}
+            return {"slots": [k1.degree, k2.degree]}
         return None
 
     def graded_contract(rng, trial):
@@ -479,10 +480,10 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
         F = random_section(bundle, rng)
         lhs = apply_kernel(K, as_module_form(vector_rep(w, F)))
         rhs = vector_rep(w, apply_kernel(K, F))
-        if (K.slots * kp) % 2:
+        if (K.degree * kp) % 2:
             rhs = -rhs
         if lhs != rhs:
-            return {"slots": K.slots, "form-degree": kp}
+            return {"slots": K.degree, "form-degree": kp}
         return None
 
     rec.law("multiplication-associativity", max(trials // 2, 50), mul_assoc,
@@ -544,7 +545,7 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
     for u in u_values:
         c = ConnectionData(bundle, fixture.h, horizontal=hor, u=u)
         for trial, K in enumerate(kernels):
-            reducer = _theorem_reducer(fixture, K.slots + 1, reducers)
+            reducer = _theorem_reducer(fixture, K.degree + 1, reducers)
             verdict = verify_theorem(c, K, reducer,
                                      name=f"theorem-k{trial:03d}-u-{u}")
             rec.record_verdict(verdict)

@@ -8,13 +8,13 @@ from ncg.chern import (VerificationError, chern_form, chern_vector_bundle,
                        verify_trace_property, verify_vb_closedness)
 from ncg.coefficients import GaussRat, GR_ONE, PolyFormCoeff
 from ncg.fixtures import load_fixture
-from ncg.forms import AbReducer, FormSum
+from ncg.forms import AbReducer, GradedSum, NCForm
 from ncg.groupoid import canonical_h, trivial_bundle, unit_space
 from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
-                         kernel_mul, set_flags)
+                         apply_kernel_sum, kernel_mul, kernel_sum_mul, set_flags)
 from ncg.modules import ConnectionData, Section, nabla01, as_module_form
 from ncg.reference import trace_reference
-from ncg.suites import random_raw_kernel
+from ncg.suites import derive_rng, random_raw_kernel
 
 
 def connection_for(fixture, key="rank2", u=Fraction(1)):
@@ -67,7 +67,7 @@ def test_trace_linearity_and_degree(fixture, rng):
     set_flags(combined)
     assert trace_e(combined, fixture.h) == \
         trace_e(k1, fixture.h) + trace_e(k2, fixture.h)
-    assert trace_e(k1, fixture.h).degree == k1.slots
+    assert trace_e(k1, fixture.h).degree == k1.degree
 
 
 def test_supertrace_graded_examples():
@@ -100,7 +100,7 @@ def test_heat_first_term_is_negative_squared_connection(scalar_fixture):
         return nabla01(nabla01(as_module_form(F), fx.h), fx.h)
     for F in Section.basis(c.bundle):
         expected = op(F)
-        got = terms[1].apply(F)
+        got = apply_kernel_sum(terms[1], F)
         assert got.component(2) == -expected
 
 
@@ -113,7 +113,7 @@ def test_heat_terms_match_operator_powers(scalar_fixture):
         return nabla01(nabla01(F, h), h)
     for F in Section.basis(c.bundle):
         target = square(square(as_module_form(F)))
-        got = terms[2].apply(F)
+        got = apply_kernel_sum(terms[2], F)
         assert got.component(4) == target.scale(GaussRat(Fraction(1, 2)))
 
 
@@ -125,7 +125,7 @@ def test_heat_semigroup_consistency(scalar_fixture):
     for j in (0, 1, 2):
         total = None
         for a in range(j + 1):
-            prod = terms[a].mul(terms[j - a])
+            prod = kernel_sum_mul(terms[a], terms[j - a])
             total = prod if total is None else total + prod
         expected = terms[j].scale(GaussRat(2 ** j))
         assert total == expected, j
@@ -183,6 +183,22 @@ def test_verify_theorem_sampled(fixture, rng):
         assert verdict.payload()["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("key", ["rank1", "rank2"])
+def test_verify_theorem_chart_without_connection_matrices(chart_fixture, key):
+    """Without connection matrices the chart superconnection still carries
+    the exterior derivative, so the commutator keeps its d(entry) part."""
+    b = chart_fixture.bundle(key)
+    sampler = KernelSampler(b, 1, poly_degree=2)
+    reducer = AbReducer(chart_fixture.groupoid, 2, generator_bound=4)
+    for trial in range(3):
+        K = sampler.sample(derive_rng(0, "chart-no-connection", key, trial))
+        for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            c = ConnectionData(b, chart_fixture.h, u=u)
+            assert c.horizontal is None
+            verdict = verify_theorem(c, K, reducer)
+            assert verdict.passed and verdict.certificate
+
+
 def test_verify_theorem_broken_kernel_fails(rng):
     """Dense non-linear kernels genuinely break the trace identity on a
     fixture whose target fibers hold two non-unit arrows; the bypassed
@@ -200,7 +216,7 @@ def test_verify_theorem_broken_kernel_fails(rng):
         raw.equivariant = True  # test-mode: bypass the precondition
         raw.cocycle = True
         tr = trace_e(raw, fx.h)
-        lhs = FormSum(fx.groupoid, [tr.d1(), tr.d2()])
+        lhs = GradedSum(NCForm, fx.groupoid, [tr.d1(), tr.d2()])
         commutator = commutator_with_d(c, raw, test_mode=True)
         rhs = trace_sum(commutator, fx.h)
         verdict = reduce_in_ab(lhs - rhs, reducer, "broken")

@@ -2,7 +2,7 @@ import pytest
 
 from ncg.coefficients import GaussRat, GR_I, GR_ONE, PolyFormCoeff
 from ncg.fixtures import cyclic_groupoid, load_fixture, pair_groupoid, unit_groupoid
-from ncg.forms import (AbReducer, FormError, FormSum, NCForm, _delta_generators,
+from ncg.forms import (AbReducer, FormError, GradedSum, NCForm, _delta_generators,
                        flatten_form, flatten_sum)
 from ncg.linalg import RowReducer
 from ncg.reference import convolve_reference
@@ -112,7 +112,7 @@ def test_total_differential_squares_to_zero(fixture, rng):
     g = fixture.groupoid
     for _ in range(40):
         w = random_form(g, rng.randint(0, 2), rng)
-        assert FormSum(g, [w.d1(), w.d2()]).d_total().is_zero()
+        assert GradedSum(NCForm, g, [w.d1(), w.d2()]).d_total().is_zero()
 
 
 def test_reducer_unit_groupoid_zero():
@@ -174,9 +174,9 @@ def test_differential_preserves_commutator_span(scalar_fixture):
     reducer1 = AbReducer(g, 1)
     reducer2 = AbReducer(g, 2)
     for label, parts in reducer1.commutators.items():
-        image = FormSum(g)
+        image = GradedSum(NCForm, g)
         for part in parts:
-            image = image + FormSum(g, [part.d1(), part.d2()])
+            image = image + GradedSum(NCForm, g, [part.d1(), part.d2()])
         ok, _ = reducer2.is_zero_in_ab(image)
         assert ok, label
 

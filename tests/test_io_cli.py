@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,32 @@ def _write_z2_manifest(tmp_path):
         "bundle": "bundle.json",
         "h": "canonical",
         "suite": {"seed": 3, "trials": 7},
+    }))
+    return manifest
+
+
+def _write_chart_manifest(tmp_path, key="rank2"):
+    """A file manifest for z2chart's bundle `key`, with no connection."""
+    fx = load_fixture("z2chart")
+    bundle = fx.bundle(key)
+    gpath = tmp_path / "groupoid.json"
+    gpath.write_text(json.dumps(groupoid_to_json(fx.groupoid)))
+    bpath = tmp_path / "bundle.json"
+    bpath.write_text(json.dumps({
+        "rank": bundle.rank,
+        "grading": list(bundle.grading),
+        "action": {f"{p},{a}": [[str(v) for v in row] for row in mat]
+                   for (p, a), mat in bundle.action.items()},
+        "metric": {p: [[str(v) for v in row] for row in mat]
+                   for p, mat in bundle.metric.items()},
+    }))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "name": "chart-no-connection",
+        "groupoid": "groupoid.json",
+        "space": "right_regular",
+        "bundle": "bundle.json",
+        "h": "canonical",
     }))
     return manifest
 
@@ -268,3 +295,38 @@ def test_cli_reports_independent_of_hash_seed(argv):
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["passed"]
+
+
+@pytest.mark.parametrize("key", ["rank1", "rank2"])
+def test_cli_theorem_on_chart_manifest_without_connection(tmp_path, capsys, key):
+    manifest = _write_chart_manifest(tmp_path, key)
+    fixture = load_manifest(str(manifest))
+    assert fixture.groupoid.model.kind == "chart" and fixture.horizontal is None
+    assert main(["verify", "--suite", "theorem", "--fixture", str(manifest),
+                 "--trials", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["fixture"] == "chart-no-connection"
+
+
+# SHA-256 of the stdout of fast commands, pinned so that a change which
+# moves any verdict, certificate or component shows up here.
+GOLDEN_REPORTS = [
+    (["verify", "--suite", "chern", "--fixture", "z3", "--max-degree", "2"],
+     "8a07677e4a2d3fab50af9a30f45cf8aae573ffcc38c4241649713f058902d20b"),
+    (["verify", "--suite", "theorem", "--fixture", "pair2", "--trials", "3"],
+     "e94ec098b4494c41cca49f77bbfff90f0bf903df965a54017b304fc03cb91eba"),
+    (["verify", "--suite", "module", "--fixture", "z2chart", "--trials", "5"],
+     "fc6f3fad34049c2eb5eade0c7635adff55f4536d8e0b06ab7cb70682727145b7"),
+    (["verify", "--suite", "theorem", "--fixture", "z2chart", "--trials", "2"],
+     "2764117c11a4b08bf3debb76155820604f7e8e81ecf7cc9bd1ba4684864d1992"),
+    (["chern", "z3", "--u", "1/2", "--max-degree", "2"],
+     "767a5c09562b3cc2a622a0dcbf96802ef8872f55d18e380844f7e9427c7ab4a3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_REPORTS])
+def test_cli_golden_reports(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,9 +4,9 @@ import pytest
 
 from ncg.coefficients import GaussRat, GR_ONE, PolyFormCoeff
 from ncg.fixtures import load_fixture
-from ncg.forms import NCForm
+from ncg.forms import GradedSum, NCForm
 from ncg.kernels import operator_to_kernel
-from ncg.modules import (ConnectionData, ModuleSum, Section,
+from ncg.modules import (ConnectionData, ModuleForm, Section,
                          adjunction_residual, as_module_form, inner_product,
                          nabla01, vector_rep)
 from ncg.suites import (random_form, random_function, random_module_form,
@@ -148,7 +148,7 @@ def test_connection_axiom(fixture, rng):
                 f = random_function(g, rng)
                 F = random_section(b, rng)
                 lhs = c.apply_du(vector_rep(f, F), u)
-                rhs = ModuleSum(b)
+                rhs = GradedSum(ModuleForm, b)
                 for part in c.apply_du(F, u).parts.values():
                     rhs.accumulate(vector_rep(f, part))
                 rhs.accumulate(as_module_form(vector_rep(f.d1(), F)))
@@ -161,7 +161,7 @@ def test_scalar_superconnection_is_simplicial(scalar_fixture, rng):
     F = random_section(c.bundle, rng)
     for u in (Fraction(0), Fraction(1), Fraction(1, 3)):
         out = c.apply_du(F, u)
-        assert out == ModuleSum(c.bundle, [nabla01(F, scalar_fixture.h)])
+        assert out == GradedSum(ModuleForm, c.bundle, [nabla01(F, scalar_fixture.h)])
 
 
 def test_adjoint_horizontal_antiselfadjoint_case():
@@ -208,7 +208,7 @@ def test_curvature_scalar_u_independent(scalar_fixture, rng):
     assert out0 == out1
     # equals the double simplicial derivative
     expected = nabla01(nabla01(F, scalar_fixture.h), scalar_fixture.h)
-    assert out1 == ModuleSum(c.bundle, [expected])
+    assert out1 == GradedSum(ModuleForm, c.bundle, [expected])
 
 
 def test_chart_curvature_components():
@@ -222,5 +222,5 @@ def test_chart_curvature_components():
     # the (0,2)-part is the squared simplicial derivative: value -h^2 = -1/4
     quarter = PolyFormCoeff.constant(1, GaussRat(-1, 0, 4))
     comp = operator_to_kernel(op, c.bundle, 2)
-    assert comp.entries == {("e", ("g1", "g1"), "e"): ((quarter,),),
+    assert comp.values == {("e", ("g1", "g1"), "e"): ((quarter,),),
                             ("g1", ("g1", "g1"), "g1"): ((quarter,),)}
