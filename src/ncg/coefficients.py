@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence, Tuple
 
 
@@ -30,29 +32,32 @@ class CoefficientError(ValueError):
 # ---------------------------------------------------------------------------
 
 class GaussRat:
-    """A Gaussian rational (a + b*i)/d with gcd(a, b, d) = 1 and d > 0."""
+    """A Gaussian rational (a + b*i)/d with gcd(a, b, d) = 1 and d > 0.
+
+    The constructor validates and reduces its arguments; results of the
+    arithmetic below are built by `_make` and `_raw`, which skip that
+    validation because their parts are already exact ints.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d=1):
-        if isinstance(a, Fraction) or isinstance(b, Fraction) or isinstance(d, Fraction):
-            fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
-            den = fd.numerator * fa.denominator * fb.denominator
-            a = fa.numerator * fb.denominator * fd.denominator
-            b = fb.numerator * fa.denominator * fd.denominator
-            d = den
-        if d == 0:
-            raise ZeroDivisionError("zero denominator in GaussRat")
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(gcd(abs(a), abs(b)), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        if type(a) is not int or type(b) is not int or type(d) is not int:
+            (a, da), (b, db), (d, dd) = _ratio(a), _ratio(b), _ratio(d)
+            a, b, d = a * db * dd, b * da * dd, d * da * db
+        if d != 1:
+            if d == 0:
+                raise ZeroDivisionError("zero denominator in GaussRat")
+            if d < 0:
+                a, b, d = -a, -b, -d
+            g = gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -89,44 +94,48 @@ class GaussRat:
         return Fraction(self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (GaussRat, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        return GaussRat(self.a * other.d + other.a * self.d,
-                        self.b * other.d + other.b * self.d,
-                        self.d * other.d)
+        if type(other) is not GaussRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a + other.a, self.b + other.b, d1)
+        return _make(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussRat, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        return GaussRat(self.a * other.d - other.a * self.d,
-                        self.b * other.d - other.b * self.d,
-                        self.d * other.d)
+        if type(other) is not GaussRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a - other.a, self.b - other.b, d1)
+        return _make(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other) -> "GaussRat":
         return _coerce(other) - self
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.a, -self.b, self.d)
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussRat, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        return GaussRat(self.a * other.a - self.b * other.b,
-                        self.a * other.b + self.b * other.a,
-                        self.d * other.d)
+        if type(other) is not GaussRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -137,7 +146,7 @@ class GaussRat:
         n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat(self.a * self.d, -self.b * self.d, n)
+        return _make(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other) -> "GaussRat":
         return self * _coerce(other).inverse()
@@ -146,7 +155,7 @@ class GaussRat:
         return _coerce(other) * self.inverse()
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.a, -self.b, self.d)
+        return _raw(self.a, -self.b, self.d)
 
     # -- duck protocol shared with PolyFormCoeff ----------------------------
 
@@ -165,10 +174,10 @@ class GaussRat:
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GaussRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _coerce(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
@@ -190,13 +199,48 @@ class GaussRat:
         return f"GaussRat({self})"
 
 
+# The slot descriptors write the parts directly, past the immutability guard.
+_set_a = GaussRat.a.__set__
+_set_b = GaussRat.b.__set__
+_set_d = GaussRat.d.__set__
+
+
+def _raw(a: int, b: int, d: int) -> GaussRat:
+    """A GaussRat from parts already in canonical form."""
+    value = object.__new__(GaussRat)
+    _set_a(value, a)
+    _set_b(value, b)
+    _set_d(value, d)
+    return value
+
+
+def _make(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d reduced to canonical form, from ints with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _raw(a, b, d)
+
+
+def _ratio(value):
+    """(numerator, denominator) of an int or a Fraction."""
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"GaussRat parts must be int or Fraction, not {type(value).__name__}")
+
+
 def _coerce(value) -> GaussRat:
-    if isinstance(value, GaussRat):
+    if type(value) is GaussRat:
         return value
     if isinstance(value, int):
-        return GaussRat(value)
+        return _raw(int(value), 0, 1)
     if isinstance(value, Fraction):
-        return GaussRat(value.numerator, 0, value.denominator)
+        return _raw(value.numerator, 0, value.denominator)
     raise CoefficientError(f"cannot coerce {value!r} to GaussRat")
 
 
@@ -209,6 +253,7 @@ GR_I = GaussRat(0, 1)
 # Polynomial differential forms on a chart R^d
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _wedge_sign(left: Tuple[int, ...], right: Tuple[int, ...]):
     """Sign of merging two strictly increasing index tuples, None if they meet."""
     if set(left) & set(right):
@@ -228,6 +273,10 @@ class PolyFormCoeff:
 
     Terms map (monomial exponents, strictly increasing form indices) to a
     nonzero GaussRat.  Form indices are 1-based, as in dx1, dx2, ...
+
+    The constructor validates every term; results of the operations below
+    are wrapped by `_trusted`, because their keys come from operands that
+    were already validated and their zero terms are already dropped.
     """
 
     __slots__ = ("dim", "terms")
@@ -265,6 +314,14 @@ class PolyFormCoeff:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "PolyFormCoeff":
+        """Wrap canonical terms (valid keys, nonzero GaussRat values) as is."""
+        value = object.__new__(cls)
+        _set_dim(value, dim)
+        _set_terms(value, terms)
+        return value
+
+    @classmethod
     def constant(cls, dim: int, value) -> "PolyFormCoeff":
         value = _coerce(value)
         return cls(dim, {((0,) * dim, ()): value})
@@ -294,24 +351,20 @@ class PolyFormCoeff:
         other = self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = terms.get(key, GR_ZERO) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return PolyFormCoeff(self.dim, terms)
+            _put(terms, key, coeff)
+        return PolyFormCoeff._trusted(self.dim, terms)
 
     def __sub__(self, other) -> "PolyFormCoeff":
         return self + (-self._check(other))
 
     def __neg__(self) -> "PolyFormCoeff":
-        return PolyFormCoeff(self.dim, {k: -c for k, c in self.terms.items()})
+        return PolyFormCoeff._trusted(self.dim, {k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar) -> "PolyFormCoeff":
         scalar = _coerce(scalar)
         if scalar.is_zero():
-            return PolyFormCoeff(self.dim)
-        return PolyFormCoeff(self.dim, {k: c * scalar for k, c in self.terms.items()})
+            return PolyFormCoeff._trusted(self.dim, {})
+        return PolyFormCoeff._trusted(self.dim, {k: c * scalar for k, c in self.terms.items()})
 
     # -- graded product ------------------------------------------------------
 
@@ -324,29 +377,22 @@ class PolyFormCoeff:
                 sign, form = _wedge_sign(f1, f2)
                 if sign is None:
                     continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
                 coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                key = (exps, form)
-                acc = out.get(key, GR_ZERO) + coeff
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return PolyFormCoeff(self.dim, out)
+                _put(out, (tuple(map(add, e1, e2)), form),
+                     coeff if sign > 0 else -coeff)
+        return PolyFormCoeff._trusted(self.dim, out)
 
     def __rmul__(self, other) -> "PolyFormCoeff":
         return self._check(other) * self
 
     def conj(self) -> "PolyFormCoeff":
-        return PolyFormCoeff(self.dim, {k: c.conj() for k, c in self.terms.items()})
+        return PolyFormCoeff._trusted(self.dim, {k: c.conj() for k, c in self.terms.items()})
 
     def scale_by_form_degree(self, parity: int) -> "PolyFormCoeff":
         """Multiply each homogeneous term of form degree m by (-1)^(m*parity)."""
         if parity % 2 == 0:
             return self
-        return PolyFormCoeff(self.dim, {
+        return PolyFormCoeff._trusted(self.dim, {
             (exps, form): (-c if len(form) % 2 else c)
             for (exps, form), c in self.terms.items()
         })
@@ -365,29 +411,25 @@ class PolyFormCoeff:
                 c = coeff * e
                 if sign < 0:
                     c = -c
-                key = (new_exps, merged)
-                acc = out.get(key, GR_ZERO) + c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return PolyFormCoeff(self.dim, out)
+                _put(out, (new_exps, merged), c)
+        return PolyFormCoeff._trusted(self.dim, out)
 
     def pullback(self, matrix: Sequence[Sequence[GaussRat]]) -> "PolyFormCoeff":
         """Substitute x -> M x in the polynomial part and dx -> M^T dx."""
         d = self.dim
+        matrix = [[_coerce(v) for v in row] for row in matrix]
         # linear polynomials for each substituted coordinate
-        subs = [PolyFormCoeff(d, {
-            (tuple(1 if j == t else 0 for t in range(d)), ()): _coerce(matrix[i][j])
-            for j in range(d) if not _coerce(matrix[i][j]).is_zero()
+        subs = [PolyFormCoeff._trusted(d, {
+            (tuple(1 if j == t else 0 for t in range(d)), ()): matrix[i][j]
+            for j in range(d) if matrix[i][j]
         }) for i in range(d)]
-        one_forms = [PolyFormCoeff(d, {
-            ((0,) * d, (j + 1,)): _coerce(matrix[i][j])
-            for j in range(d) if not _coerce(matrix[i][j]).is_zero()
+        one_forms = [PolyFormCoeff._trusted(d, {
+            ((0,) * d, (j + 1,)): matrix[i][j]
+            for j in range(d) if matrix[i][j]
         }) for i in range(d)]
-        out = PolyFormCoeff(d)
+        out = PolyFormCoeff._trusted(d, {})
         for (exps, form), coeff in self.terms.items():
-            term = PolyFormCoeff.constant(d, coeff)
+            term = _const(d, coeff)
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = term * subs[i]
@@ -401,7 +443,7 @@ class PolyFormCoeff:
     def _check(self, other) -> "PolyFormCoeff":
         if not isinstance(other, PolyFormCoeff):
             if isinstance(other, (int, Fraction, GaussRat)):
-                return PolyFormCoeff.constant(self.dim, other)
+                return _const(self.dim, other)
             raise CoefficientError(f"cannot combine PolyFormCoeff with {other!r}")
         if other.dim != self.dim:
             raise CoefficientError("chart dimension mismatch")
@@ -445,6 +487,29 @@ class PolyFormCoeff:
     __repr__ = __str__
 
 
+_set_dim = PolyFormCoeff.dim.__set__
+_set_terms = PolyFormCoeff.terms.__set__
+
+
+def _const(dim: int, value) -> PolyFormCoeff:
+    """The constant form of value, built trusted: its one key is canonical."""
+    value = _coerce(value)
+    return PolyFormCoeff._trusted(dim, {((0,) * dim, ()): value} if value else {})
+
+
+def _put(terms: dict, key, coeff: GaussRat):
+    """Add coeff into terms[key]; a key whose sum is zero is dropped."""
+    prev = terms.get(key)
+    if prev is None:
+        terms[key] = coeff
+        return
+    coeff = prev + coeff
+    if coeff:
+        terms[key] = coeff
+    else:
+        del terms[key]
+
+
 # ---------------------------------------------------------------------------
 # Coefficient model: scalar backend vs chart backend
 # ---------------------------------------------------------------------------
@@ -466,6 +531,8 @@ class CoefficientModel:
         self.kind = kind
         self.dim = dim
         self.matrices = {}
+        # label -> {monomial key: terms of its pullback}, None for identity
+        self._images = {}
         if kind == "chart":
             if dim <= 0:
                 raise CoefficientError("chart model needs a positive dimension")
@@ -475,14 +542,14 @@ class CoefficientModel:
     # -- factories -----------------------------------------------------------
 
     def zero(self):
-        return GR_ZERO if self.kind == "scalar" else PolyFormCoeff(self.dim)
+        return GR_ZERO if self.kind == "scalar" else _const(self.dim, GR_ZERO)
 
     def one(self):
-        return GR_ONE if self.kind == "scalar" else PolyFormCoeff.constant(self.dim, GR_ONE)
+        return GR_ONE if self.kind == "scalar" else _const(self.dim, GR_ONE)
 
     def from_gauss(self, value):
         value = _coerce(value)
-        return value if self.kind == "scalar" else PolyFormCoeff.constant(self.dim, value)
+        return value if self.kind == "scalar" else _const(self.dim, value)
 
     def check_coefficient(self, coeff):
         if self.kind == "scalar":
@@ -490,7 +557,7 @@ class CoefficientModel:
                 return _coerce(coeff)
             return coeff
         if isinstance(coeff, (int, Fraction, GaussRat)):
-            return PolyFormCoeff.constant(self.dim, coeff)
+            return _const(self.dim, coeff)
         if not isinstance(coeff, PolyFormCoeff) or coeff.dim != self.dim:
             raise CoefficientError("coefficient does not match chart model")
         return coeff
@@ -504,9 +571,28 @@ class CoefficientModel:
             raise CoefficientError(f"unknown group element {label!r} in chart model")
 
     def pullback(self, coeff, label: str):
+        """Transport coeff along label, as coeff.pullback(matrix(label)).
+
+        The image of each monomial is computed once per label and kept; a
+        label whose matrix is the identity returns coeff itself.
+        """
         if self.kind == "scalar":
             return coeff
-        return coeff.pullback(self.matrix(label))
+        if label not in self._images:
+            identity = self.matrix(label) == identity_matrix(self.dim)
+            self._images[label] = None if identity else {}
+        images = self._images[label]
+        if images is None:
+            return coeff
+        out: dict = {}
+        for key, c in coeff.terms.items():
+            image = images.get(key)
+            if image is None:
+                monomial = PolyFormCoeff._trusted(self.dim, {key: GR_ONE})
+                image = images[key] = monomial.pullback(self.matrices[label]).terms
+            for k, v in image.items():
+                _put(out, k, c * v)
+        return PolyFormCoeff._trusted(self.dim, out)
 
     def validate_representation(self, multiply, unit_label: str) -> list:
         """Check M_g M_h = M_{gh} and M_e = 1; returns a list of violations."""

@@ -145,6 +145,16 @@ class SmoothingKernel(SparseForm):
         out.equivariant, out.cocycle = self.equivariant, self.cocycle
         return out
 
+    def __add__(self, other):
+        # the linearity conditions are linear: a sum of two kernels that
+        # both meet one keeps it verified; anything else is unknown
+        out = super().__add__(other)
+        if self.equivariant and other.equivariant:
+            out.equivariant = True
+        if self.cocycle and other.cocycle:
+            out.cocycle = True
+        return out
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod

@@ -70,6 +70,26 @@ def test_trace_linearity_and_degree(fixture, rng):
     assert trace_e(k1, fixture.h).degree == k1.degree
 
 
+def test_kernel_sum_keeps_linearity_flags(rng):
+    # (delta + K)^2 has the 1-slot part delta*K + K*delta, a sum of two
+    # verified kernels: it must stay verified, so its trace is defined
+    fx = load_fixture("z3")
+    b = fx.bundles["rank1"]
+    delta = SmoothingKernel.delta(b)
+    K = KernelSampler(b, 1).sample(rng)
+    A = GradedSum(SmoothingKernel, b, [delta, K])
+    square = kernel_sum_mul(A, A)
+    traces = trace_sum(square, fx.h)
+    assert traces.component(1) == (trace_e(kernel_mul(delta, K), fx.h)
+                                   + trace_e(kernel_mul(K, delta), fx.h))
+    part = square.component(1)
+    assert (part.equivariant, part.cocycle) == (True, True)
+    raw = random_raw_kernel(b, 1, rng)
+    assert (raw.equivariant, raw.cocycle) == (None, None)
+    mixed = K + raw
+    assert (mixed.equivariant, mixed.cocycle) == (None, None)
+
+
 def test_supertrace_graded_examples():
     fx = load_fixture("z2")
     graded = fx.bundles["rank2-trivial"]  # grading (+, -), trivial action

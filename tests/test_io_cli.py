@@ -321,6 +321,12 @@ GOLDEN_REPORTS = [
      "2764117c11a4b08bf3debb76155820604f7e8e81ecf7cc9bd1ba4684864d1992"),
     (["chern", "z3", "--u", "1/2", "--max-degree", "2"],
      "767a5c09562b3cc2a622a0dcbf96802ef8872f55d18e380844f7e9427c7ab4a3"),
+    (["chern", "z2chart", "--u", "1/2", "--max-degree", "2"],
+     "666435a1bb18ed6a63de6bccea1fced138fecc9bb2c902bfb1a7215eedc32782"),
+    (["verify", "--suite", "chern", "--fixture", "z2chart", "--max-degree", "2"],
+     "db561e86837a2ca2b16dabc4abda00407b368b0ea2855ce8d039633b31e09eac"),
+    (["verify", "--suite", "algebra", "--fixture", "z2chart", "--trials", "4"],
+     "e776e5e8280d018494194f4aaccd86978b4f2afe5feaf53e192cd852fa1f7f2d"),
 ]
 
 
