@@ -49,7 +49,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
     left piece in the descending slot list (the reading under which the
     commutator-trace identity holds); "alternate" keeps the split order.
     """
-    if kernel.equivariant is not True:
+    if not (kernel.equivariant and kernel.cocycle):
         raise KernelError("trace needs a kernel with verified linearity flags")
     if transcription not in ("primary", "alternate"):
         raise VerificationError(f"unknown transcription {transcription!r}")

@@ -128,7 +128,7 @@ def cmd_kernels(args) -> int:
         payload = {"slots": kernel.degree,
                    "equivariant": kernel.equivariant,
                    "cocycle": kernel.cocycle}
-        if kernel.degree == 1 and not (kernel.equivariant and kernel.cocycle):
+        if not (kernel.equivariant and kernel.cocycle):
             r1, r2 = equivariance_residuals(kernel)
             payload["violations"] = {
                 "interior": [str(k) for k in sorted(r1)][:10],

@@ -65,11 +65,6 @@ class GaussRat:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, value) -> "GaussRat":
-        f = Fraction(value)
-        return cls(f.numerator, 0, f.denominator)
-
-    @classmethod
     def parse(cls, text: str) -> "GaussRat":
         """Parse 'a/b' or 'a/b+c/d*i' (signs on numerators only)."""
         s = text.strip().replace(" ", "")
@@ -184,9 +179,6 @@ class GaussRat:
         if self.b == 0:
             return hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
-
-    def sort_key(self):
-        return (self.a, self.b, self.d)
 
     def __str__(self) -> str:
         re = Fraction(self.a, self.d)

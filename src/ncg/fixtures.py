@@ -212,11 +212,3 @@ def load_fixture(name: str) -> Fixture:
     if name not in _CACHE:
         _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]
-
-
-def scalar_fixture_names():
-    return [n for n in bundled_fixtures() if load_fixture(n).groupoid.model.kind == "scalar"]
-
-
-def chart_fixture_names():
-    return [n for n in bundled_fixtures() if load_fixture(n).groupoid.model.kind == "chart"]

@@ -182,11 +182,6 @@ class NCForm(SparseForm):
             groupoid.model.from_gauss(coeff) if isinstance(coeff, int) else coeff)
         return cls(groupoid, len(key) - 1, {key: coeff})
 
-    @classmethod
-    def unit_function(cls, groupoid: GroupoidSpec) -> "NCForm":
-        one = groupoid.model.one()
-        return cls(groupoid, 0, {(groupoid.unit[x],): one for x in groupoid.objects})
-
     # -- structure ---------------------------------------------------------------
 
     def coeff(self, key: Sequence[str]):

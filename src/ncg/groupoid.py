@@ -488,12 +488,6 @@ class EquivariantBundle:
             self._inverses[key] = mat_inverse(self.act_matrix(p, arrow))
         return self._inverses[key]
 
-    def is_graded(self) -> bool:
-        return any(s < 0 for s in self.grading)
-
-    def grading_sign(self, index: int) -> int:
-        return self.grading[index]
-
     def __repr__(self):
         return f"EquivariantBundle({self.name}: rank {self.rank} over {self.space.name})"
 

@@ -23,7 +23,6 @@ from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidError,
                        right_regular_space, validate_bundle, validate_groupoid,
                        validate_space)
 from .kernels import SmoothingKernel, set_flags
-from .modules import Section
 
 
 class LoadError(ValueError):
@@ -180,14 +179,6 @@ def load_bundle(source, space: FiberedSpace) -> EquivariantBundle:
     if not report.ok:
         raise LoadError(str(report))
     return bundle
-
-
-def load_section(source, bundle: EquivariantBundle) -> Section:
-    data = _read(source)
-    model = bundle.groupoid.model
-    values = {p: tuple(_coeff_from_json(model, v) for v in vec)
-              for p, vec in data["values"].items()}
-    return Section(bundle, values)
 
 
 def load_partition(source, space: FiberedSpace) -> PartitionFunction:

@@ -329,12 +329,13 @@ def apply_kernel_sum(kernels: GradedSum, f) -> GradedSum:
 
 
 # ---------------------------------------------------------------------------
-# Form-linearity: the exhaustive commutation test and the residual system
+# Form-linearity: the residual system and its exhaustive reference
 # ---------------------------------------------------------------------------
 
 def omega_linearity_failures(kernel: SmoothingKernel, max_cases: Optional[int] = None):
     """Exhaustively test commutation with the function action on the delta
-    basis; returns the list of failing (arrow, point, index) triples."""
+    basis; returns the list of failing (arrow, point, index) triples.  The
+    reference that ``equivariance_residuals`` is checked against."""
     bundle = kernel.bundle
     g = bundle.groupoid
     failures = []
@@ -361,61 +362,97 @@ def _delta_section_id(F: Section):
 
 
 def equivariance_residuals(kernel: SmoothingKernel):
-    """The two necessary-and-sufficient linear conditions for one-slot
-    kernels to commute with the function action.
+    """The necessary-and-sufficient linear conditions for a kernel of any
+    slot count k to commute with the function action; returns two dicts
+    (interior, boundary) of nonzero residual matrices keyed by witnesses.
 
-    The first condition moves the q-index: translating an entry along any
-    arrow composable below the slot matches the entry at the shifted key.
-    The second is the boundary condition tied to the slot itself: the
-    q-translated entry plus the fiber sum of back-translated entries with
-    the free arrow in the slot vanishes.  Returns two dicts of nonzero
-    residual matrices keyed by their witnesses.
+    Write a key as (P, desc, q) with desc = (w_k, ..., w_1), so w_1 is the
+    slot next to q.  T(q, gamma, M) is ``translate_q`` and B(P, c, M) =
+    act_inv(P, c) . transport(M, c^-1) pulls an entry at P.c back to P.
+    Expanding K(delta_gamma . F) = delta_gamma . K(F) on delta sections
+    with the terms of ``vector_rep`` gives, for k >= 1:
+
+    * interior (the junction merge): for non-unit gamma != w_1 with
+      tgt gamma = tgt w_1, T(q, gamma, K[P, desc, q]) equals
+      K[P, (w_k, ..., w_2, gamma^-1 w_1), q.gamma]; witness (P, *desc, q,
+      gamma);
+    * boundary: with q' = q.w_1, the sum of T(q, w_1, K[P, desc, q]), of
+      (-1)^{r+1} K[P, (w_k, ..., w_{r+2}, b, a, w_r, ..., w_2), q'] over
+      r = 1..k-1 and splits a.b = w_{r+1} (the inner merges), and of
+      (-1)^{k+1} B(P, c, K[P.c, (c, w_k, ..., w_2), q']) over the free
+      last arrow c at P vanishes; witness (P, *desc, q).
+
+    For k = 0 the one condition T(q, gamma, K[P, (), q]) = B(P, gamma,
+    K[P.gamma, (), q.gamma]) is an equivariance condition and is reported
+    as interior; witness (P, q, gamma).  The measure weights of
+    ``apply_kernel`` cancel because validated spaces carry invariant
+    measures.  Absent entries count as zero and cost no arithmetic.
     """
-    if kernel.degree != 1:
-        raise KernelError("residual formulas are stated for one-slot kernels")
     bundle = kernel.bundle
     g = bundle.groupoid
     space = bundle.space
-    res1: Dict[tuple, tuple] = {}
-    res2: Dict[tuple, tuple] = {}
-    for (P, (sigma,), q) in kernel_keys(space, 1):
-        mat = kernel.matrix((P, (sigma,), q))
-        # interior: for every non-unit gamma in the target fiber with
-        # gamma^{-1} sigma still non-unit
-        for gamma in g.target_fiber(g.tgt[sigma]):
-            if g.is_unit(gamma) or gamma == sigma:
-                continue
-            shifted = g.mul(g.inv(gamma), sigma)
-            lhs = translate_q(bundle, q, gamma, mat)
-            rhs = kernel.matrix((P, (shifted,), space.act(q, gamma)))
-            diff = _mat_add(lhs, _mat_neg(rhs))
-            if not _mat_is_zero(diff):
-                res1[(P, sigma, q, gamma)] = diff
-        # boundary: B along the slot plus the free-arrow fiber sum
-        total = translate_q(bundle, q, sigma, mat)
-        q_shift = space.act(q, sigma)
-        for gamma in g.target_fiber(space.moment[P]):
-            if g.is_unit(gamma):
-                continue
-            entry = kernel.matrix((space.act(P, gamma), (gamma,), q_shift))
-            moved = _mat_transport(g, entry, (g.inv(gamma),))
-            act = _mat_conv(bundle, bundle.act_matrix_inv(P, gamma))
-            total = _mat_add(total, mat_mul(act, moved))
-        if not _mat_is_zero(total):
-            res2[(P, sigma, q)] = total
-    return res1, res2
+    k = kernel.degree
+    get = kernel.values.get
+    interior: Dict[tuple, tuple] = {}
+    boundary: Dict[tuple, tuple] = {}
+
+    def T(q, gamma, mat):
+        return None if mat is None else translate_q(bundle, q, gamma, mat)
+
+    def B(P, c, mat):
+        if mat is None:
+            return None
+        act = _mat_conv(bundle, bundle.act_matrix_inv(P, c))
+        return mat_mul(act, _mat_transport(g, mat, (g.inv(c),)))
+
+    def settle(out, witness, terms):
+        total = None
+        for sign, mat in terms:
+            if mat is not None:
+                mat = mat if sign > 0 else _mat_neg(mat)
+                total = mat if total is None else _mat_add(total, mat)
+        if total is not None and not _mat_is_zero(total):
+            out[witness] = total
+
+    for key in kernel_keys(space, k):
+        P, desc, q = key
+        mat = get(key)
+        if k == 0:
+            for gamma in g.target_fiber(space.moment[q]):
+                if not g.is_unit(gamma):
+                    other = get((space.act(P, gamma), (), space.act(q, gamma)))
+                    settle(interior, (P, q, gamma),
+                           [(1, T(q, gamma, mat)), (-1, B(P, gamma, other))])
+            continue
+        witness = (P,) + desc + (q,)
+        w1, rest = desc[-1], desc[:-1]
+        for gamma in g.target_fiber(g.tgt[w1]):
+            if not g.is_unit(gamma) and gamma != w1:
+                shifted = (P, rest + (g.mul(g.inv(gamma), w1),), space.act(q, gamma))
+                settle(interior, witness + (gamma,),
+                       [(1, T(q, gamma, mat)), (-1, get(shifted))])
+        q1 = space.act(q, w1)
+        terms = [(1, T(q, w1, mat))]
+        for r in range(1, k):
+            w = desc[k - 1 - r]  # w_{r+1}, split as a.b
+            for a in g.target_fiber(g.tgt[w]):
+                if not g.is_unit(a) and a != w:
+                    b = g.mul(g.inv(a), w)
+                    split = desc[:k - 1 - r] + (b, a) + desc[k - r:k - 1]
+                    terms.append((1 if r % 2 else -1, get((P, split, q1))))
+        for c in g.target_fiber(space.moment[P]):
+            if not g.is_unit(c):
+                entry = get((space.act(P, c), (c,) + rest, q1))
+                terms.append((1 if k % 2 else -1, B(P, c, entry)))
+        settle(boundary, witness, terms)
+    return interior, boundary
 
 
 def set_flags(kernel: SmoothingKernel) -> SmoothingKernel:
     """Verify and record form-linearity on the kernel (in place)."""
-    if kernel.degree == 1:
-        r1, r2 = equivariance_residuals(kernel)
-        kernel.equivariant = not r1
-        kernel.cocycle = not r2
-    else:
-        ok = not omega_linearity_failures(kernel, max_cases=1)
-        kernel.equivariant = ok
-        kernel.cocycle = ok
+    interior, boundary = equivariance_residuals(kernel)
+    kernel.equivariant = not interior
+    kernel.cocycle = not boundary
     return kernel
 
 
@@ -457,60 +494,23 @@ def linearity_constraint_columns(bundle: EquivariantBundle, slots: int,
 
 def linearity_nullspace(bundle: EquivariantBundle, slots: int,
                         poly_degree: int = 0):
-    """Exact basis of kernels commuting with the function action.
-
-    For one slot the residual system is assembled; for other slot counts
-    the commutation equations themselves are used, evaluated column by
-    column on basis kernels (both are linear in the kernel).
-    """
+    """Exact basis of kernels commuting with the function action: the
+    residual system of ``equivariance_residuals``, assembled column by
+    column on basis kernels (the residuals are linear in the kernel)."""
     columns = linearity_constraint_columns(bundle, slots, poly_degree)
     rows: Dict[tuple, Dict[tuple, GaussRat]] = {}
-
-    def add_row_entries(rowmap, col):
-        for coord, value in rowmap.items():
-            rows.setdefault(coord, {})[col] = value
-
-    g = bundle.groupoid
     for col in columns:
-        key, i, j, term = col
-        basis = _basis_kernel(bundle, slots, key, i, j, term)
-        if slots == 1:
-            r1, r2 = equivariance_residuals(basis)
-            coords = _flatten_residual_coords(r1, r2)
-        else:
-            coords = {}
-            for gamma in g.nonunit_arrows():
-                f = NCForm.delta(g, (gamma,))
-                for F in Section.basis(bundle):
-                    point, idx = _delta_section_id(F)
-                    diff = apply_kernel(basis, vector_rep(f, F)) - \
-                        vector_rep(f, apply_kernel(basis, F))
-                    for (mkey, vec) in diff.values.items():
-                        for a, c in enumerate(vec):
-                            if isinstance(c, GaussRat):
-                                if not c.is_zero():
-                                    coords[(gamma, point, idx, mkey, a)] = c
-                            else:
-                                for tkey, v in c.terms.items():
-                                    coords[(gamma, point, idx, mkey, a, tkey)] = v
-        add_row_entries(coords, col)
+        residuals = equivariance_residuals(_basis_kernel(bundle, slots, *col))
+        for tag, part in enumerate(residuals):
+            for witness, mat in part.items():
+                for i, row in enumerate(mat):
+                    for j, c in enumerate(row):
+                        terms = {(): c} if isinstance(c, GaussRat) else c.terms
+                        for tkey, v in terms.items():
+                            if not v.is_zero():
+                                rows.setdefault((tag, witness, i, j, tkey), {})[col] = v
     basis_vectors = nullspace(list(rows.values()), columns)
     return columns, basis_vectors
-
-
-def _flatten_residual_coords(r1, r2):
-    coords = {}
-    for tag, rdict in (("interior", r1), ("boundary", r2)):
-        for witness, mat in rdict.items():
-            for i, row in enumerate(mat):
-                for j, c in enumerate(row):
-                    if isinstance(c, GaussRat):
-                        if not c.is_zero():
-                            coords[(tag, witness, i, j)] = c
-                    else:
-                        for tkey, v in c.terms.items():
-                            coords[(tag, witness, i, j, tkey)] = v
-    return coords
 
 
 def kernel_from_coordinates(bundle, slots, coords: Mapping[tuple, GaussRat]):
@@ -659,7 +659,7 @@ def commutator_with_d(connection: ConnectionData,
     the flag enforcement on the output so deliberately broken kernels can
     be pushed through the trace pipeline.
     """
-    if kernel.equivariant is not True and not test_mode:
+    if not (kernel.equivariant and kernel.cocycle or test_mode):
         raise KernelError("commutator needs a kernel with verified linearity flags")
     bundle = kernel.bundle
     g = bundle.groupoid

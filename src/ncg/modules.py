@@ -49,12 +49,6 @@ def _transport_vec(groupoid, vec, word):
     return tuple(groupoid.transport(c, word) for c in vec)
 
 
-def _scale_vec_by_form_degree(vec, parity: int):
-    if parity % 2 == 0:
-        return vec
-    return tuple(c.scale_by_form_degree(1) for c in vec)
-
-
 class Section:
     """A section of the bundle over P: one fiber vector per point."""
 

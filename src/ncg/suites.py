@@ -23,7 +23,8 @@ from .fixtures import Fixture
 from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import canonical_h, trivial_bundle, unit_space
 from .kernels import (KernelSampler, SmoothingKernel, apply_kernel,
-                      equivariance_residuals, kernel_keys, kernel_mul,
+                      equivariance_residuals, kernel_from_coordinates,
+                      kernel_keys, kernel_mul,
                       omega_linearity_failures)
 from .modules import (ConnectionData, ModuleForm, Section, as_module_form,
                       inner_product, module_keys, vector_rep)
@@ -435,7 +436,6 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
     # forward: every nullspace basis kernel commutes with the action
     witness = None
     for idx, vec in enumerate(sampler.basis):
-        from .kernels import kernel_from_coordinates
         kernel = kernel_from_coordinates(bundle, sampler.slots, vec)
         failures = omega_linearity_failures(kernel, max_cases=1)
         if failures:
@@ -447,7 +447,7 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
 
     # reverse: violating either residual implies a commutation failure
     def reverse(rng, trial):
-        raw = random_raw_kernel(bundle, 1, rng)
+        raw = random_raw_kernel(bundle, rng.choice([0, 1, 2]), rng)
         r1, r2 = equivariance_residuals(raw)
         if (r1 or r2) and not omega_linearity_failures(raw, max_cases=1):
             return {"residuals": [len(r1), len(r2)]}

@@ -11,7 +11,8 @@ from ncg.fixtures import load_fixture
 from ncg.forms import AbReducer, GradedSum, NCForm
 from ncg.groupoid import canonical_h, trivial_bundle, unit_space
 from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
-                         apply_kernel_sum, kernel_mul, kernel_sum_mul, set_flags)
+                         apply_kernel_sum, commutator_with_d, kernel_mul,
+                         kernel_sum_mul, set_flags)
 from ncg.modules import ConnectionData, Section, nabla01, as_module_form
 from ncg.reference import trace_reference
 from ncg.suites import derive_rng, random_raw_kernel
@@ -41,6 +42,20 @@ def test_trace_requires_flags(fixture, rng):
     if raw.equivariant is not True:
         with pytest.raises(KernelError):
             trace_e(raw, fixture.h)
+
+
+def test_trace_and_commutator_require_boundary_condition():
+    """A kernel that passes the interior condition but fails the boundary
+    one is not form-linear: neither the trace nor the commutator accepts
+    it."""
+    fx = load_fixture("z2")
+    b = fx.bundles["rank1"]
+    K = set_flags(SmoothingKernel(b, 1, {("e", ("g1",), "e"): ((GR_ONE,),)}))
+    assert (K.equivariant, K.cocycle) == (True, False)
+    with pytest.raises(KernelError):
+        trace_e(K, fx.h)
+    with pytest.raises(KernelError):
+        commutator_with_d(connection_for(fx, "rank1"), K)
 
 
 def test_trace_against_reference(fixture, rng):

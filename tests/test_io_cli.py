@@ -16,7 +16,7 @@ from ncg.forms import NCForm
 from ncg.io import (LoadError, form_to_json, groupoid_to_json, kernel_to_json,
                     load_form, load_groupoid, load_kernel, load_manifest,
                     suite_parameters)
-from ncg.kernels import KernelSampler
+from ncg.kernels import KernelSampler, SmoothingKernel
 
 
 def test_bundled_fixture_inventory():
@@ -201,6 +201,19 @@ def test_cli_kernels_sample_and_check(tmp_path, capsys):
     assert payload["equivariant"] and payload["cocycle"]
 
 
+def test_cli_kernels_check_reports_two_slot_violations(tmp_path, capsys):
+    b = load_fixture("z3").bundle()
+    identity = tuple(tuple(GR_ONE if i == j else GaussRat(0)
+                           for j in range(b.rank)) for i in range(b.rank))
+    single = SmoothingKernel(b, 2, {("e", ("g1", "g2"), "g1"): identity})
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel_to_json(single)))
+    assert main(["kernels", "check", "z3", "--kernel", str(kpath)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["slots"] == 2
+    assert payload["violations"]["boundary"]
+
+
 def test_cli_kernels_mul(tmp_path, capsys):
     k1 = tmp_path / "k1.json"
     k2 = tmp_path / "k2.json"
@@ -327,6 +340,12 @@ GOLDEN_REPORTS = [
      "db561e86837a2ca2b16dabc4abda00407b368b0ea2855ce8d039633b31e09eac"),
     (["verify", "--suite", "algebra", "--fixture", "z2chart", "--trials", "4"],
      "e776e5e8280d018494194f4aaccd86978b4f2afe5feaf53e192cd852fa1f7f2d"),
+    (["kernels", "sample", "z3", "--slots", "2", "--seed", "1"],
+     "d2b082bf6e9c2e3197dba7a776954d0bebdc2beda54e9765eab727df7605e2e6"),
+    (["kernels", "sample", "z2chart", "--slots", "2", "--seed", "1"],
+     "16ee1aaf460c398a2cf5b6c86104fbf19b472429bf5fc20b7921fb409168b647"),
+    (["verify", "--suite", "kernels", "--fixture", "z3", "--trials", "8"],
+     "32ddf5accf9b5e533865992acd9559417eeae034708141b9341b4f3f91af1720"),
 ]
 
 

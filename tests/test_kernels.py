@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from ncg.coefficients import GaussRat, GR_ONE
+from ncg.coefficients import GaussRat, GR_ONE, PolyFormCoeff
 from ncg.fixtures import load_fixture
+from ncg.forms import NCForm
 from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
-                         act_AB, apply_kernel, apply_kernel_sum, commutator_with_d,
-                         equivariance_residuals, kernel_mul,
-                         omega_linearity_failures, operator_to_kernel)
+                         _basis_kernel, act_AB, apply_kernel, apply_kernel_sum,
+                         commutator_with_d, equivariance_residuals, kernel_mul,
+                         linearity_constraint_columns, linearity_nullspace,
+                         omega_linearity_failures, operator_to_kernel, set_flags)
+from ncg.linalg import nullspace
 from ncg.modules import (ConnectionData, Section, as_module_form,
-                         nabla01)
+                         nabla01, vector_rep)
 from ncg.suites import random_raw_kernel, random_section, random_module_form
 
 
@@ -121,6 +124,94 @@ def test_equivariance_residual_witnesses():
     assert r2  # the boundary sum cannot vanish with one entry
     key = next(iter(r2))
     assert key[1] == "g1"
+
+
+def test_two_slot_residual_witnesses():
+    fx = load_fixture("z3")
+    b = fx.bundles["rank1"]
+    single = SmoothingKernel(b, 2, {("e", ("g1", "g2"), "g1"): ((GR_ONE,),)})
+    interior, boundary = equivariance_residuals(single)
+    # the q-translated entry has nothing to cancel against at its own key
+    assert ("e", "g1", "g2", "g1") in boundary
+    assert all(len(w) == 4 for w in boundary)  # (P, w_2, w_1, q)
+    assert all(len(w) == 5 for w in interior)  # (P, w_2, w_1, q, gamma)
+    assert set_flags(single).cocycle is False
+
+
+def _sweep_nullspace(bundle, slots, poly_degree):
+    """The commutation equations themselves, evaluated column by column on
+    basis kernels: the exhaustive reference for the residual system."""
+    g = bundle.groupoid
+    columns = linearity_constraint_columns(bundle, slots, poly_degree)
+    rows = {}
+    for col in columns:
+        basis = _basis_kernel(bundle, slots, *col)
+        for gamma in g.nonunit_arrows():
+            f = NCForm.delta(g, (gamma,))
+            for n, F in enumerate(Section.basis(bundle)):
+                diff = apply_kernel(basis, vector_rep(f, F)) - \
+                    vector_rep(f, apply_kernel(basis, F))
+                for mkey, vec in diff.values.items():
+                    for a, c in enumerate(vec):
+                        terms = {(): c} if isinstance(c, GaussRat) else c.terms
+                        for tkey, v in terms.items():
+                            if not v.is_zero():
+                                coord = (gamma, n, mkey, a, tkey)
+                                rows.setdefault(coord, {})[col] = v
+    return nullspace(list(rows.values()), columns)
+
+
+def test_residual_nullspace_matches_sweep(fixture):
+    """Slots 0-2 on every bundle, slot 3 on scalar rank-1 bundles: the
+    residual rows and the commutation sweep cut out the same space, so the
+    sampler's reduced echelon basis is the same."""
+    chart = fixture.groupoid.model.kind == "chart"
+    poly = 2 if chart else 0
+    for key, b in fixture.bundles.items():
+        top = 3 if b.rank == 1 and not chart else 2
+        for slots in range(top + 1):
+            _, basis = linearity_nullspace(b, slots, poly)
+            assert basis == _sweep_nullspace(b, slots, poly), (key, slots)
+
+
+def _with_form(kernel, coeff):
+    out = SmoothingKernel(kernel.bundle, kernel.degree)
+    out.values = {k: tuple(tuple(c * coeff for c in row) for row in m)
+                  for k, m in kernel.values.items()}
+    return out
+
+
+@pytest.mark.parametrize("name", ["z2chart", "z3", "pair2", "z2swap", "z2"])
+def test_flags_agree_with_sweep(name, rng):
+    """On curvature parts, commutator parts, products of sampled kernels and
+    (form-valued) perturbations, the residual flags say exactly what the
+    exhaustive commutation sweep says."""
+    from ncg.chern import curvature_kernels
+    fx = load_fixture(name)
+    chart = fx.groupoid.model.kind == "chart"
+    poly = 2 if chart else 0
+    kernels = []
+    for key in ("rank1", "rank2"):
+        c = connection_for(fx, key)
+        for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            kernels += curvature_kernels(c, u).parts.values()
+        for slots in (0, 1, 2):
+            sampler = KernelSampler(c.bundle, slots, poly_degree=poly)
+            k1, k2 = sampler.sample(rng), sampler.sample(rng)
+            raw = random_raw_kernel(c.bundle, slots, rng)
+            kernels += [kernel_mul(k1, k2), k1 + raw]
+            if chart:
+                dx = PolyFormCoeff.monomial(1, (1,), (1,))
+                kernels += [_with_form(k1, dx), _with_form(k1 + raw, dx)]
+            if slots < 2:
+                kernels += commutator_with_d(c, k1).parts.values()
+    failing = 0
+    for K in kernels:
+        set_flags(K)
+        linear = K.equivariant and K.cocycle
+        assert linear == (not omega_linearity_failures(K, max_cases=1)), K
+        failing += not linear
+    assert 0 < failing < len(kernels)
 
 
 def test_sampler_contract(fixture, rng):
