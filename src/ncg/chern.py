@@ -20,14 +20,10 @@ from typing import Dict, List, Optional
 from .coefficients import GaussRat, mat_mul
 from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import PartitionFunction
-from .kernels import (KernelError, SmoothingKernel, _mat_conv,
-                      commutator_with_d, kernel_mul, kernel_sum_mul,
+from .kernels import (KernelError, SmoothingKernel, VerificationError,
+                      _mat_conv, commutator_with_d, kernel_mul, kernel_sum_mul,
                       operator_to_kernel, set_flags, translate_p)
 from .modules import ConnectionData
-
-
-class VerificationError(ValueError):
-    """Raised when a verification pipeline is used inconsistently."""
 
 
 def _traced(bundle, mat, graded: bool):
@@ -41,18 +37,15 @@ def _traced(bundle, mat, graded: bool):
 
 
 def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
-            graded: bool = False, transcription: str = "primary") -> NCForm:
+            graded: bool = False) -> NCForm:
     """The localized (super)trace of a verified-linear kernel.
 
-    ``transcription`` selects the slot order used when an interior slot is
-    split in the middle terms: "primary" places the right piece before the
-    left piece in the descending slot list (the reading under which the
-    commutator-trace identity holds); "alternate" keeps the split order.
+    When an interior slot is split in the middle terms, the right piece
+    goes before the left piece in the descending slot list: the reading
+    under which the commutator-trace identity holds.
     """
     if not (kernel.equivariant and kernel.cocycle):
         raise KernelError("trace needs a kernel with verified linearity flags")
-    if transcription not in ("primary", "alternate"):
-        raise VerificationError(f"unknown transcription {transcription!r}")
     bundle = kernel.bundle
     g = bundle.groupoid
     space = bundle.space
@@ -103,8 +96,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                     for gam, gam2 in g.decompositions(chain[n - 1 - i]):
                         if g.is_unit(gam) or g.is_unit(gam2):
                             continue
-                        pair = (gam2, gam) if transcription == "primary" else (gam, gam2)
-                        desc = base_desc[:i - 1] + pair + base_desc[i:]
+                        desc = base_desc[:i - 1] + (gam2, gam) + base_desc[i:]
                         mat = kernel.values.get((p0, desc, p))
                         if mat is None:
                             continue
@@ -132,15 +124,14 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
     return NCForm(g, n, values)
 
 
-def supertrace(kernel: SmoothingKernel, h: PartitionFunction,
-               transcription: str = "primary") -> NCForm:
-    return trace_e(kernel, h, graded=True, transcription=transcription)
+def supertrace(kernel: SmoothingKernel, h: PartitionFunction) -> NCForm:
+    return trace_e(kernel, h, graded=True)
 
 
-def trace_sum(kernels: GradedSum, h: PartitionFunction, graded: bool = False,
-              transcription: str = "primary") -> GradedSum:
+def trace_sum(kernels: GradedSum, h: PartitionFunction,
+              graded: bool = False) -> GradedSum:
     groupoid = kernels.owner.groupoid
-    return GradedSum(NCForm, groupoid, [trace_e(part, h, graded, transcription)
+    return GradedSum(NCForm, groupoid, [trace_e(part, h, graded)
                                         for part in kernels.parts.values()])
 
 
@@ -154,17 +145,8 @@ def curvature_kernels(connection: ConnectionData,
     one homogeneous slot component per simplicial degree."""
     bundle = connection.bundle
     op = connection.curvature_operator(u)
-    parts = []
-    for slots in (0, 1, 2):
-        kernel = operator_to_kernel(op, bundle, slots)
-        if not kernel.is_zero():
-            set_flags(kernel)
-            if not (kernel.equivariant and kernel.cocycle):
-                raise VerificationError(
-                    "curvature component failed the linearity flags; "
-                    "this signals a sign error in the connection stack")
-            parts.append(kernel)
-    return GradedSum(SmoothingKernel, bundle, parts)
+    return GradedSum(SmoothingKernel, bundle,
+                     [operator_to_kernel(op, bundle, slots) for slots in (0, 1, 2)])
 
 
 def heat_exponential(connection: ConnectionData, max_degree: int,
@@ -188,14 +170,11 @@ def heat_exponential(connection: ConnectionData, max_degree: int,
 
 
 def chern_form(connection: ConnectionData, u: Optional[Fraction] = None,
-               max_degree: int = 4, transcription: str = "primary") -> Dict[int, GradedSum]:
+               max_degree: int = 4) -> Dict[int, GradedSum]:
     """Degree-2j components of the supertrace of the heat exponential."""
     terms = heat_exponential(connection, max_degree, u)
-    out: Dict[int, GradedSum] = {}
-    for j, term in enumerate(terms):
-        out[2 * j] = trace_sum(term, connection.h, graded=True,
-                               transcription=transcription)
-    return out
+    return {2 * j: trace_sum(term, connection.h, graded=True)
+            for j, term in enumerate(terms)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +233,14 @@ def reduce_in_ab(forms, reducer: AbReducer, name: str) -> Verdict:
 
 
 def verify_theorem(connection: ConnectionData, kernel: SmoothingKernel,
-                   reducer: AbReducer, name: str = "theorem",
-                   transcription: str = "primary") -> Verdict:
+                   reducer: AbReducer, name: str = "theorem") -> Verdict:
     """(d1 + d2) of the trace minus the trace of the superconnection
     commutator, reduced against the graded-commutator span."""
     h = connection.h
-    tr = trace_e(kernel, h, transcription=transcription)
+    tr = trace_e(kernel, h)
     lhs = GradedSum(NCForm, tr.groupoid, [tr.d1(), tr.d2()])
     commutator = commutator_with_d(connection, kernel)
-    rhs = trace_sum(commutator, h, transcription=transcription)
+    rhs = trace_sum(commutator, h)
     return reduce_in_ab(lhs - rhs, reducer, name)
 
 
@@ -278,10 +256,9 @@ def verify_trace_property(k1: SmoothingKernel, k2: SmoothingKernel,
 
 
 def verify_closedness(connection: ConnectionData, u: Fraction,
-                      max_degree: int, reducers: Dict[int, AbReducer],
-                      transcription: str = "primary") -> List[Verdict]:
+                      max_degree: int, reducers: Dict[int, AbReducer]) -> List[Verdict]:
     """Per degree 2j: (d1 + d2) of the Chern component reduces to zero."""
-    components = chern_form(connection, u, max_degree, transcription)
+    components = chern_form(connection, u, max_degree)
     verdicts = []
     for degree in sorted(components):
         if degree + 1 not in reducers:

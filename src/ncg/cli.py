@@ -113,8 +113,7 @@ def cmd_kernels(args) -> int:
     fixture = load_manifest(args.manifest)
     bundle = fixture.bundle()
     if args.action == "sample":
-        sampler = KernelSampler(bundle, args.slots,
-                                poly_degree=2 if fixture.groupoid.model.kind == "chart" else 0)
+        sampler = KernelSampler(bundle, args.slots)
         if sampler.dimension == 0:
             _emit({"sampler": "empty",
                    "detail": "no nonzero form-linear kernels at this slot count"},
@@ -124,7 +123,7 @@ def cmd_kernels(args) -> int:
         _emit(kernel_to_json(kernel), args.output)
         return 0
     if args.action == "check":
-        kernel = load_kernel(args.kernel, bundle, verify_flags=True)
+        kernel = load_kernel(args.kernel, bundle)
         payload = {"slots": kernel.degree,
                    "equivariant": kernel.equivariant,
                    "cocycle": kernel.cocycle}
@@ -166,10 +165,10 @@ def cmd_verify(args) -> int:
 def cmd_chern(args) -> int:
     fixture = load_manifest(args.manifest)
     u = Fraction(args.u)
-    max_degree, reducers = chern_reducers(fixture.groupoid, args.max_degree)
+    reducers = chern_reducers(fixture.groupoid, args.max_degree)
     connection = _resolve_connection(fixture, u)
-    components = chern_form(connection, u, max_degree)
-    verdicts = verify_closedness(connection, u, max_degree, reducers)
+    components = chern_form(connection, u, args.max_degree)
+    verdicts = verify_closedness(connection, u, args.max_degree, reducers)
     payload = {
         "fixture": fixture.name,
         "u": str(u),

@@ -464,40 +464,53 @@ class AbReducer:
     supported on tuples whose composite is x.y or y.x for the composites x
     and y of the two generator tuples, and those two arrows are conjugate;
     its simplicial degree is the sum of the generators' degrees, and on
-    charts its polynomial degree is too, because pullback is linear.  A
-    block is keyed by (conjugacy class of the composite, simplicial degree,
-    polynomial degree); the class of a loop is its least conjugate by arrow
-    name, and a non-loop is its own class.  Each block is row reduced on
-    its own, the first time a query touches it, from the generator pairs
-    that fall in it, in the global (degree, label, label) order.  Pivots,
-    residues and certificates are therefore those of one reducer holding
-    every commutator, while a query pays only for the blocks it meets:
-    traces and Chern forms live in the unit-class blocks.
+    charts its polynomial degree is too, because pullback preserves it and
+    the product adds it.  A block is keyed by (conjugacy class of the
+    composite, simplicial degree, polynomial degree); the class of a loop is
+    its least conjugate by arrow name, and a non-loop is its own class.
+
+    The generator pairs of polynomial degree P are enumerated the first
+    time a query reaches P, so the query sets how far the span goes and no
+    caller bounds it; scalar models have only P = 0, indexed on
+    construction.  Each block is row reduced on its own, the first time a
+    query touches it, from its pairs in the (degree, label, label) order.
+    Pivots, residues and certificates are therefore those of one reducer
+    holding every commutator of those polynomial degrees, while a query
+    pays only for the blocks it meets: traces and Chern forms live in the
+    unit-class blocks.
     """
 
-    def __init__(self, groupoid: GroupoidSpec, total_degree: int,
-                 generator_bound: int = 0):
+    def __init__(self, groupoid: GroupoidSpec, total_degree: int):
         self.groupoid = groupoid
         self.total_degree = total_degree
-        self.generator_bound = generator_bound
         self._classes: Dict[str, str] = {}
-        # block -> [(global index, label1, form1, label2, form2, negate)]
+        # block -> [((P, index within P), label1, form1, label2, form2, negate)]
         self.pairs: Dict[BlockKey, list] = {}
+        self._indexed: set = set()
         # the blocks built so far, and per block the pivot commutators as
-        # label -> (global index, parts)
+        # label -> ((P, index within P), parts)
         self.blocks: Dict[BlockKey, RowReducer] = {}
         self._commutators: Dict[BlockKey, Dict] = {}
-        g = groupoid
-        bound = generator_bound if g.model.kind == "chart" else 0
-        generators = _delta_generators(g, total_degree, bound)
+        self._index(0)
+
+    def _index(self, poly: int):
+        """File every generator pair whose polynomial degrees sum to poly."""
+        if poly in self._indexed:
+            return
+        self._indexed.add(poly)
+        g = self.groupoid
+        generators = _delta_generators(g, self.total_degree, poly)
         index = 0
-        for d1_ in range(total_degree + 1):
-            d2_ = total_degree - d1_
+        for d1_ in range(self.total_degree + 1):
+            d2_ = self.total_degree - d1_
             negate = (d1_ * d2_) % 2 == 0
             for label1, form1 in generators[d1_]:
                 x = g.compose_word(label1[1])
+                p1 = _poly_degree(label1[2])
                 for label2, form2 in generators[d2_]:
                     if d1_ > d2_ or (d1_ == d2_ and label2 < label1):
+                        continue
+                    if p1 + _poly_degree(label2[2]) != poly:
                         continue
                     y = g.compose_word(label2[1])
                     if g.src[x] == g.tgt[y]:
@@ -507,10 +520,9 @@ class AbReducer:
                     else:
                         continue  # neither product is defined
                     block = (self._class(composite),
-                             len(label1[1]) + len(label2[1]) - 2,
-                             _poly_degree(label1[2]) + _poly_degree(label2[2]))
+                             len(label1[1]) + len(label2[1]) - 2, poly)
                     self.pairs.setdefault(block, []).append(
-                        (index, label1, form1, label2, form2, negate))
+                        ((poly, index), label1, form1, label2, form2, negate))
                     index += 1
 
     def _class(self, arrow: str) -> str:
@@ -533,6 +545,7 @@ class AbReducer:
     def _block(self, block: BlockKey) -> RowReducer:
         reducer = self.blocks.get(block)
         if reducer is None:
+            self._index(block[2])
             reducer = RowReducer()
             commutators = {}
             for index, label1, form1, label2, form2, negate in self.pairs.get(block, ()):
@@ -554,14 +567,16 @@ class AbReducer:
 
     @property
     def rank(self) -> int:
-        """Rank of the whole span (builds every block)."""
+        """Rank of the span of the polynomial degrees indexed so far
+        (builds each of their blocks)."""
         self._build_all()
         return sum(reducer.rank for reducer in self.blocks.values())
 
     @property
     def commutators(self) -> Dict:
         """Label -> literal commutator parts of every pivot generator of the
-        whole span, in global generator order (builds every block)."""
+        polynomial degrees indexed so far, ordered by polynomial degree and
+        then generator order (builds each of their blocks)."""
         self._build_all()
         entries = [item for block in self._commutators.values()
                    for item in block.items()]

@@ -230,8 +230,7 @@ def form_to_json(form: NCForm) -> dict:
     }
 
 
-def load_kernel(source, bundle: EquivariantBundle,
-                verify_flags: bool = True) -> SmoothingKernel:
+def load_kernel(source, bundle: EquivariantBundle) -> SmoothingKernel:
     data = _read(source)
     model = bundle.groupoid.model
     try:
@@ -242,10 +241,7 @@ def load_kernel(source, bundle: EquivariantBundle,
             entries[key] = _matrix_from_json(model, rec["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed kernel file: {exc}") from exc
-    kernel = SmoothingKernel(bundle, slots, entries)
-    if verify_flags:
-        set_flags(kernel)
-    return kernel
+    return set_flags(SmoothingKernel(bundle, slots, entries))
 
 
 def kernel_to_json(kernel: SmoothingKernel) -> dict:

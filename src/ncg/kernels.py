@@ -32,6 +32,11 @@ class KernelError(ValueError):
     """Raised on malformed kernels or incompatible operands."""
 
 
+class VerificationError(ValueError):
+    """Raised when a pipeline is used inconsistently or one of its internal
+    self-checks fails: a fault of the program, not of its input."""
+
+
 KernelKey = Tuple[str, Tuple[str, ...], str]
 
 
@@ -460,11 +465,16 @@ def set_flags(kernel: SmoothingKernel) -> SmoothingKernel:
 # Sampling the space of form-linear kernels
 # ---------------------------------------------------------------------------
 
-def _coefficient_basis(model, poly_degree: int):
+# Polynomial degree of the chart-model kernel entries the sampler solves
+# for (scalar models have one unknown per matrix position).
+SAMPLER_POLY_DEGREE = 2
+
+
+def _coefficient_basis(model):
     if model.kind == "scalar":
         return [None]  # a single GaussRat unknown per matrix position
-    return [(exps, ()) for exps in sorted(_bounded_monomials(model.dim, poly_degree),
-                                          key=sum)]
+    return [(exps, ()) for exps in sorted(
+        _bounded_monomials(model.dim, SAMPLER_POLY_DEGREE), key=sum)]
 
 
 def _basis_kernel(bundle, slots, key, i, j, term):
@@ -480,9 +490,8 @@ def _basis_kernel(bundle, slots, key, i, j, term):
     return out
 
 
-def linearity_constraint_columns(bundle: EquivariantBundle, slots: int,
-                                 poly_degree: int = 0):
-    terms = _coefficient_basis(bundle.groupoid.model, poly_degree)
+def linearity_constraint_columns(bundle: EquivariantBundle, slots: int):
+    terms = _coefficient_basis(bundle.groupoid.model)
     columns = []
     for key in kernel_keys(bundle.space, slots):
         for i in range(bundle.rank):
@@ -492,12 +501,11 @@ def linearity_constraint_columns(bundle: EquivariantBundle, slots: int,
     return columns
 
 
-def linearity_nullspace(bundle: EquivariantBundle, slots: int,
-                        poly_degree: int = 0):
+def linearity_nullspace(bundle: EquivariantBundle, slots: int):
     """Exact basis of kernels commuting with the function action: the
     residual system of ``equivariance_residuals``, assembled column by
     column on basis kernels (the residuals are linear in the kernel)."""
-    columns = linearity_constraint_columns(bundle, slots, poly_degree)
+    columns = linearity_constraint_columns(bundle, slots)
     rows: Dict[tuple, Dict[tuple, GaussRat]] = {}
     for col in columns:
         residuals = equivariance_residuals(_basis_kernel(bundle, slots, *col))
@@ -535,11 +543,10 @@ def kernel_from_coordinates(bundle, slots, coords: Mapping[tuple, GaussRat]):
 class KernelSampler:
     """Seeded sampler over the exact nullspace of the linearity constraints."""
 
-    def __init__(self, bundle: EquivariantBundle, slots: int = 1,
-                 poly_degree: int = 0):
+    def __init__(self, bundle: EquivariantBundle, slots: int = 1):
         self.bundle = bundle
         self.slots = slots
-        self.columns, self.basis = linearity_nullspace(bundle, slots, poly_degree)
+        self.columns, self.basis = linearity_nullspace(bundle, slots)
 
     @property
     def dimension(self) -> int:
@@ -566,7 +573,7 @@ class KernelSampler:
         kernel = kernel_from_coordinates(self.bundle, self.slots, coords)
         set_flags(kernel)
         if not (kernel.equivariant and kernel.cocycle):
-            raise KernelError("sampled kernel fails its own constraints")
+            raise VerificationError("sampled kernel fails its own constraints")
         return kernel
 
 
@@ -574,18 +581,17 @@ class KernelSampler:
 # Kernel extraction from a black-box operator
 # ---------------------------------------------------------------------------
 
-def operator_to_kernel(op: Callable, bundle: EquivariantBundle, slots: int,
-                       check_degree_one: bool = True,
-                       require_linear: bool = True) -> SmoothingKernel:
+def operator_to_kernel(op: Callable, bundle: EquivariantBundle,
+                       slots: int) -> SmoothingKernel:
     """Read the kernel of a form-linear operator off the delta basis.
 
     The operator is evaluated on every delta section; the degree-``slots``
     component of the output determines the kernel uniquely.  The result is
-    verified by a round trip on the same basis, on the degree-one delta
-    module forms when requested, and (by default) against the
-    form-linearity conditions, which reject integral-shaped operators that
-    fail to commute with the function action, like the bare simplicial
-    connection.
+    verified by a round trip on the same basis and on the degree-one delta
+    module forms, and a nonzero result against the form-linearity
+    conditions, which reject integral-shaped operators that fail to commute
+    with the function action, like the bare simplicial connection; a
+    nonzero result therefore carries verified flags.
     """
     space = bundle.space
     model = bundle.groupoid.model
@@ -620,19 +626,18 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle, slots: int,
                 raise KernelError(
                     f"operator is not a {slots}-slot smoothing operator "
                     f"(round trip fails on the delta section at {qhat!r})")
-    if check_degree_one:
-        for key in module_keys(space, 1):
-            for j in range(bundle.rank):
-                F = ModuleForm.delta(bundle, key[0], key[1], j)
-                try:
-                    expect = image(F, slots + 1)
-                except TypeError:
-                    break
-                if apply_kernel(kernel, F) != expect:
-                    raise KernelError(
-                        f"operator is not a {slots}-slot smoothing operator "
-                        f"(degree-one check fails at {key!r})")
-    if require_linear and not kernel.is_zero():
+    for key in module_keys(space, 1):
+        for j in range(bundle.rank):
+            F = ModuleForm.delta(bundle, key[0], key[1], j)
+            try:
+                expect = image(F, slots + 1)
+            except TypeError:
+                break
+            if apply_kernel(kernel, F) != expect:
+                raise KernelError(
+                    f"operator is not a {slots}-slot smoothing operator "
+                    f"(degree-one check fails at {key!r})")
+    if not kernel.is_zero():
         set_flags(kernel)
         if not (kernel.equivariant and kernel.cocycle):
             raise KernelError(
@@ -724,7 +729,7 @@ def commutator_with_d(connection: ConnectionData,
             continue
         set_flags(part)
         if not (part.equivariant and part.cocycle):
-            raise KernelError("commutator output failed its linearity flags")
+            raise VerificationError("commutator output failed its linearity flags")
     return result
 
 
@@ -744,7 +749,7 @@ def _assert_commutator(connection, kernel, result):
             for part in dF.parts.values():
                 rhs.accumulate(apply_kernel(piece, part).scale(sign))
         if apply_kernel_sum(result, F) != rhs:
-            raise KernelError("commutator kernel disagrees with the operator side")
+            raise VerificationError("commutator kernel disagrees with the operator side")
 
 
 def kernel_split_by_form_degree(kernel: SmoothingKernel) -> Dict[int, SmoothingKernel]:

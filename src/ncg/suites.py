@@ -419,10 +419,9 @@ def _bundle_key(fixture: Fixture, bundle) -> str:
 
 def _sampler(fixture: Fixture, bundle_key: str, slots: int = 1) -> KernelSampler:
     bundle = fixture.bundle(bundle_key)
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(bundle, slots, poly_degree=poly)
+    sampler = KernelSampler(bundle, slots)
     if sampler.dimension == 0 and slots == 1:
-        sampler = KernelSampler(bundle, 0, poly_degree=poly)
+        sampler = KernelSampler(bundle, 0)
     return sampler
 
 
@@ -495,36 +494,22 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
     return rec.report("kernels", fixture.name)
 
 
-# Polynomial-degree bound on chart generators of the commutator reducers,
-# per suite (AbReducer ignores it on scalar models).
-REDUCER_CHART_BOUNDS = {"theorem": 4, "chern": 6}
-
-
-def suite_reducer(groupoid, degree: int, suite: str) -> AbReducer:
-    """The graded-commutator reducer a suite checks its verdicts against."""
-    return AbReducer(groupoid, degree, generator_bound=REDUCER_CHART_BOUNDS[suite])
-
-
-def chern_reducers(groupoid, max_degree: int):
-    """The Chern degree actually checked (at most 2 on charts) and the
-    reducer for each d(component) degree 2j + 1 up to it."""
-    if groupoid.model.kind == "chart":
-        max_degree = min(max_degree, 2)
-    return max_degree, {2 * j + 1: suite_reducer(groupoid, 2 * j + 1, "chern")
-                        for j in range(max_degree // 2 + 1)}
-
-
-def _theorem_reducer(fixture: Fixture, degree: int,
-                     cache: Dict[int, AbReducer]) -> AbReducer:
-    if degree not in cache:
-        cache[degree] = suite_reducer(fixture.groupoid, degree, "theorem")
-    return cache[degree]
+def chern_reducers(groupoid, max_degree: int) -> Dict[int, AbReducer]:
+    """The reducer for each d(component) degree 2j + 1 up to max_degree + 1."""
+    return {2 * j + 1: AbReducer(groupoid, 2 * j + 1)
+            for j in range(max_degree // 2 + 1)}
 
 
 def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
                 u_values: Sequence[Fraction] = U_DEFAULT, **_) -> dict:
     rec = Recorder()
     reducers: Dict[int, AbReducer] = {}
+
+    def reducer_at(degree: int) -> AbReducer:
+        if degree not in reducers:
+            reducers[degree] = AbReducer(fixture.groupoid, degree)
+        return reducers[degree]
+
     bundle_key = _main_bundle_key(fixture)
     bundle = fixture.bundle(bundle_key)
     sampler = _sampler(fixture, bundle_key)
@@ -545,15 +530,14 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
     for u in u_values:
         c = ConnectionData(bundle, fixture.h, horizontal=hor, u=u)
         for trial, K in enumerate(kernels):
-            reducer = _theorem_reducer(fixture, K.degree + 1, reducers)
-            verdict = verify_theorem(c, K, reducer,
+            verdict = verify_theorem(c, K, reducer_at(K.degree + 1),
                                      name=f"theorem-k{trial:03d}-u-{u}")
             rec.record_verdict(verdict)
 
     c = ConnectionData(bundle, fixture.h, horizontal=hor)
 
     # the trace property
-    pair_reducer = _theorem_reducer(fixture, 2 * sampler.slots, reducers)
+    pair_reducer = reducer_at(2 * sampler.slots)
     for trial in range(trials):
         rng = derive_rng(seed, "theorem", "trace-property", trial)
         k1, k2 = sampler.sample(rng), sampler.sample(rng)
@@ -580,7 +564,7 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
     g = fixture.groupoid
     rec = Recorder()
     chart = g.model.kind == "chart"
-    max_degree, reducers = chern_reducers(g, max_degree)
+    reducers = chern_reducers(g, max_degree)
 
     for bundle_key in _bundle_keys(fixture):
         bundle = fixture.bundle(bundle_key)

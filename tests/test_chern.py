@@ -60,8 +60,7 @@ def test_trace_and_commutator_require_boundary_condition():
 
 def test_trace_against_reference(fixture, rng):
     b = fixture.bundle("rank2")
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     for _ in range(6):
         K = sampler.sample(rng)
         if K is None:
@@ -73,8 +72,7 @@ def test_trace_against_reference(fixture, rng):
 
 def test_trace_linearity_and_degree(fixture, rng):
     b = fixture.bundle("rank2")
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     k1, k2 = sampler.sample(rng), sampler.sample(rng)
     if k1 is None:
         return
@@ -198,19 +196,16 @@ def test_chern_u_independent_in_scalar_model(scalar_fixture):
 def test_verify_theorem_zero_kernel(fixture):
     c = connection_for(fixture)
     zero = SmoothingKernel.zero(c.bundle, 1)
-    reducer = AbReducer(fixture.groupoid, 2,
-                        generator_bound=4 if fixture.groupoid.model.kind == "chart" else 0)
+    reducer = AbReducer(fixture.groupoid, 2)
     assert verify_theorem(c, zero, reducer).passed
 
 
 def test_verify_theorem_sampled(fixture, rng):
     c = connection_for(fixture)
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(c.bundle, 1, poly_degree=poly)
+    sampler = KernelSampler(c.bundle, 1)
     if sampler.dimension == 0:
         return
-    bound = 4 if fixture.groupoid.model.kind == "chart" else 0
-    reducer = AbReducer(fixture.groupoid, 2, generator_bound=bound)
+    reducer = AbReducer(fixture.groupoid, 2)
     for _ in range(5):
         K = sampler.sample(rng)
         verdict = verify_theorem(c, K, reducer)
@@ -223,8 +218,8 @@ def test_verify_theorem_chart_without_connection_matrices(chart_fixture, key):
     """Without connection matrices the chart superconnection still carries
     the exterior derivative, so the commutator keeps its d(entry) part."""
     b = chart_fixture.bundle(key)
-    sampler = KernelSampler(b, 1, poly_degree=2)
-    reducer = AbReducer(chart_fixture.groupoid, 2, generator_bound=4)
+    sampler = KernelSampler(b, 1)
+    reducer = AbReducer(chart_fixture.groupoid, 2)
     for trial in range(3):
         K = sampler.sample(derive_rng(0, "chart-no-connection", key, trial))
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
@@ -264,8 +259,7 @@ def test_verify_theorem_broken_kernel_fails(rng):
 
 def test_trace_property_delta(fixture, rng):
     b = fixture.bundle("rank2")
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     K = sampler.sample(rng)
     if K is None:
         return
@@ -277,12 +271,10 @@ def test_trace_property_delta(fixture, rng):
 
 def test_trace_property_sampled(fixture, rng):
     b = fixture.bundle("rank2")
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     if sampler.dimension == 0:
         return
-    bound = 6 if fixture.groupoid.model.kind == "chart" else 0
-    reducer = AbReducer(fixture.groupoid, 2, generator_bound=bound)
+    reducer = AbReducer(fixture.groupoid, 2)
     for _ in range(5):
         k1, k2 = sampler.sample(rng), sampler.sample(rng)
         assert verify_trace_property(k1, k2, fixture.h, reducer).passed
@@ -320,15 +312,11 @@ def test_pair_groupoid_trace_cyclicity_matches_matrices(rng):
 
 def test_verify_closedness_all_u(fixture):
     g = fixture.groupoid
-    chart = g.model.kind == "chart"
-    max_degree = 2 if chart else 4
-    bound = 6 if chart else 0
-    reducers = {2 * j + 1: AbReducer(g, 2 * j + 1, generator_bound=bound)
-                for j in range(max_degree // 2 + 1)}
+    reducers = {2 * j + 1: AbReducer(g, 2 * j + 1) for j in range(3)}
     for key in ("rank1", "rank2"):
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
             c = connection_for(fixture, key, u)
-            verdicts = verify_closedness(c, u, max_degree, reducers)
+            verdicts = verify_closedness(c, u, 4, reducers)
             assert verdicts and all(verdicts), (key, u)
 
 
@@ -364,8 +352,7 @@ def test_vb_chern_chart_with_connection():
     bundle = trivial_bundle(us, 1)
     xdx = PolyFormCoeff.monomial(1, (1,), (1,))
     c = ConnectionData(bundle, h, horizontal={p: ((xdx,),) for p in us.points})
-    reducers = {1: AbReducer(g, 1, generator_bound=3),
-                3: AbReducer(g, 3, generator_bound=4)}
+    reducers = {1: AbReducer(g, 1), 3: AbReducer(g, 3)}
     verdicts = verify_vb_closedness(c, 2, reducers)
     assert verdicts and all(verdicts)
     comps = chern_vector_bundle(c, 2)

@@ -3,7 +3,7 @@ import pytest
 from ncg.coefficients import GaussRat, GR_I, GR_ONE, PolyFormCoeff
 from ncg.fixtures import cyclic_groupoid, load_fixture, pair_groupoid, unit_groupoid
 from ncg.forms import (AbReducer, FormError, GradedSum, NCForm, _delta_generators,
-                       flatten_form, flatten_sum)
+                       _poly_degree, flatten_form, flatten_sum)
 from ncg.linalg import RowReducer
 from ncg.reference import convolve_reference
 from ncg.suites import derive_rng, random_form, random_gauss
@@ -139,10 +139,16 @@ def test_reducer_pair_groupoid_matrix_commutators():
     assert ok and combo
 
 
+def _replay(reducer, combo):
+    """The certificate's combination of literal commutators, flattened."""
+    commutators = reducer.commutators
+    return flatten_sum(part.scale(coeff) for label, coeff in combo.items()
+                       for part in commutators[label])
+
+
 def test_reducer_certificate_is_exact(fixture, rng):
     g = fixture.groupoid
-    bound = 2 if g.model.kind == "chart" else 0
-    reducer = AbReducer(g, 1, generator_bound=bound)
+    reducer = AbReducer(g, 1)
     for _ in range(10):
         w1 = random_form(g, 0, rng, with_forms=False)
         w2 = random_form(g, 1 if g.model.kind == "scalar" else 0, rng,
@@ -155,18 +161,24 @@ def test_reducer_certificate_is_exact(fixture, rng):
             continue
         ok, combo = reducer.is_zero_in_ab(comm)
         assert ok
-        # replay the certificate against the literal commutators
-        replay = {}
-        for label, coeff in combo.items():
-            parts = reducer.commutators[label]
-            for part in parts:
-                for coord, v in flatten_form(part).items():
-                    acc = replay.get(coord, GaussRat(0)) + coeff * v
-                    if acc.is_zero():
-                        replay.pop(coord, None)
-                    else:
-                        replay[coord] = acc
-        assert replay == flatten_form(comm)
+        assert _replay(reducer, combo) == flatten_form(comm)
+
+
+def test_reducer_reaches_the_query_polynomial_degree(chart_fixture):
+    """The commutator of x^5 delta_(g1) and x^5 delta_(e) has polynomial
+    degree 10: its block's generator pairs are enumerated when the query
+    reaches it, and the certificate replays."""
+    g = chart_fixture.groupoid
+    x5 = PolyFormCoeff.monomial(1, (5,))
+    w1, w2 = NCForm.delta(g, ("g1",), x5), NCForm.delta(g, ("e",), x5)
+    comm = w1 * w2 - w2 * w1
+    assert not comm.is_zero()
+    reducer = AbReducer(g, 0)
+    assert {block[2] for block in reducer.pairs} == {0}
+    ok, combo = reducer.is_zero_in_ab(comm)
+    assert ok and combo
+    assert 10 in {block[2] for block in reducer.pairs}
+    assert _replay(reducer, combo) == flatten_form(comm)
 
 
 def test_differential_preserves_commutator_span(scalar_fixture):
@@ -205,16 +217,24 @@ def test_associativity_randomized(fixture, rng):
         assert (w1 * w2) * w3 == w1 * (w2 * w3)
 
 
-def _eager_reducer(g, total_degree, bound):
-    """Every commutator of delta generators inserted into one RowReducer, in
-    global (degree, label, label) order: the oracle for the block reducer."""
+def _pair_poly(label):
+    """Polynomial degree p1 + p2 of a commutator label."""
+    return _poly_degree(label[1][2]) + _poly_degree(label[2][2])
+
+
+def _eager_reducer(g, total_degree, poly):
+    """Every commutator of delta generators with p1 + p2 <= poly inserted
+    into one RowReducer, in global (degree, label, label) order: the oracle
+    for the block reducer."""
     reducer, commutators = RowReducer(), {}
-    generators = _delta_generators(g, total_degree, bound)
+    generators = _delta_generators(g, total_degree, poly)
     for d1_ in range(total_degree + 1):
         d2_ = total_degree - d1_
         for label1, form1 in generators[d1_]:
             for label2, form2 in generators[d2_]:
                 if d1_ > d2_ or (d1_ == d2_ and label2 < label1):
+                    continue
+                if _pair_poly(("comm", label1, label2)) > poly:
                     continue
                 rhs = form2.convolve(form1)
                 parts = [form1.convolve(form2), rhs if (d1_ * d2_) % 2 else -rhs]
@@ -227,26 +247,34 @@ def _eager_reducer(g, total_degree, bound):
 
 @pytest.mark.parametrize("degree", range(4))
 def test_block_reducer_matches_eager_oracle(fixture, degree):
+    """For each polynomial degree P <= 3 (only P = 0 on scalar models) the
+    lazy blocks agree with an eager reducer over the pairs with
+    p1 + p2 <= P: residues, certificates, rank, and pivot order within
+    each polynomial degree."""
     g = fixture.groupoid
-    bound = 2 if g.model.kind == "chart" else 0
-    eager, eager_commutators = _eager_reducer(g, degree, bound)
-    lazy = AbReducer(g, degree, generator_bound=bound)
-    rng = derive_rng(degree, "block-oracle", fixture.name)
-    commutators = list(eager_commutators.values())
-    generators = [form for _, form in _delta_generators(g, degree, bound)[degree]]
-    for _ in range(8):
-        query = []
-        for parts in rng.sample(commutators, min(3, len(commutators))):
-            scale = random_gauss(rng)
-            query += [part.scale(scale) for part in parts]
-        if generators and rng.random() < 0.5:
-            query.append(rng.choice(generators).scale(random_gauss(rng)))
-        assert lazy.reduce(query) == eager.express(flatten_sum(query))
-    assert lazy.rank == eager.rank
-    assert list(lazy.commutators) == list(eager_commutators)
-    assert lazy.commutators == eager_commutators
-    for parts in lazy.commutators.values():
-        assert len({lazy.block_of(c) for c in flatten_sum(parts)}) == 1
+    lazy = AbReducer(g, degree)
+    for poly in range(4 if g.model.kind == "chart" else 1):
+        eager, eager_commutators = _eager_reducer(g, degree, poly)
+        rng = derive_rng(degree, "block-oracle", fixture.name, poly)
+        commutators = list(eager_commutators.values())
+        generators = [form for _, form in _delta_generators(g, degree, poly)[degree]]
+        for _ in range(8):
+            query = []
+            for parts in rng.sample(commutators, min(3, len(commutators))):
+                scale = random_gauss(rng)
+                query += [part.scale(scale) for part in parts]
+            if generators and rng.random() < 0.5:
+                query.append(rng.choice(generators).scale(random_gauss(rng)))
+            assert lazy.reduce(query) == eager.express(flatten_sum(query))
+        for p in range(poly + 1):
+            lazy._index(p)
+        assert lazy.rank == eager.rank
+        assert lazy.commutators == eager_commutators
+        for p in range(poly + 1):
+            assert [l for l in lazy.commutators if _pair_poly(l) == p] == \
+                [l for l in eager_commutators if _pair_poly(l) == p]
+        for parts in lazy.commutators.values():
+            assert len({lazy.block_of(c) for c in flatten_sum(parts)}) == 1
 
 
 def test_block_reducer_builds_only_queried_blocks():

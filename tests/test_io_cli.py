@@ -12,11 +12,12 @@ import ncg
 from ncg.cli import main
 from ncg.coefficients import GaussRat, GR_ONE
 from ncg.fixtures import bundled_fixtures, load_fixture
-from ncg.forms import NCForm
+from ncg.forms import GradedSum, NCForm
 from ncg.io import (LoadError, form_to_json, groupoid_to_json, kernel_to_json,
                     load_form, load_groupoid, load_kernel, load_manifest,
                     suite_parameters)
 from ncg.kernels import KernelSampler, SmoothingKernel
+from ncg.modules import ModuleForm
 
 
 def test_bundled_fixture_inventory():
@@ -75,8 +76,7 @@ def test_form_loader_degenerate_tuples():
 
 def test_kernel_file_roundtrip(fixture, rng):
     b = fixture.bundle("rank2")
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     K = sampler.sample(rng)
     if K is None:
         return
@@ -292,6 +292,30 @@ def test_cli_verification_error_exits_1(capsys, monkeypatch):
     assert err == {"error": "pipeline used inconsistently"}
 
 
+def test_cli_failed_self_check_exits_1(capsys, monkeypatch):
+    # the commutator's operator-side self-check fails: a fault of the
+    # program, not malformed input
+    import ncg.kernels as kernels_mod
+    monkeypatch.setattr(kernels_mod, "apply_kernel_sum",
+                        lambda kernels, f: GradedSum(ModuleForm, kernels.owner))
+    assert main(["verify", "--suite", "theorem", "--fixture", "z3",
+                 "--trials", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "commutator kernel disagrees with the operator side"}
+
+
+def test_cli_malformed_kernel_exits_2(tmp_path, capsys):
+    kpath = tmp_path / "kernel.json"
+    assert main(["kernels", "sample", "z2", "--slots", "1",
+                 "--output", str(kpath)]) == 0
+    data = json.loads(kpath.read_text())
+    data["slots"] = 2  # every key now has the wrong slot count
+    kpath.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["kernels", "check", "z2", "--kernel", str(kpath)]) == 2
+    assert "wrong slot count" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "chern", "--fixture", "z3", "--max-degree", "2"],
     ["verify", "--suite", "theorem", "--fixture", "pair2", "--trials", "3"],
@@ -346,6 +370,10 @@ GOLDEN_REPORTS = [
      "16ee1aaf460c398a2cf5b6c86104fbf19b472429bf5fc20b7921fb409168b647"),
     (["verify", "--suite", "kernels", "--fixture", "z3", "--trials", "8"],
      "32ddf5accf9b5e533865992acd9559417eeae034708141b9341b4f3f91af1720"),
+    (["verify", "--suite", "chern", "--fixture", "z2chart"],
+     "028715d4b2d4a064651ed12d7cd38fa0b0bee93f479da6fe32de27a71e50a784"),
+    (["chern", "z2chart"],
+     "fe5821aa3501f4d8e4286953b02a9affb78f94d46b05be9bf800adb1470ce19f"),
 ]
 
 

@@ -138,11 +138,11 @@ def test_two_slot_residual_witnesses():
     assert set_flags(single).cocycle is False
 
 
-def _sweep_nullspace(bundle, slots, poly_degree):
+def _sweep_nullspace(bundle, slots):
     """The commutation equations themselves, evaluated column by column on
     basis kernels: the exhaustive reference for the residual system."""
     g = bundle.groupoid
-    columns = linearity_constraint_columns(bundle, slots, poly_degree)
+    columns = linearity_constraint_columns(bundle, slots)
     rows = {}
     for col in columns:
         basis = _basis_kernel(bundle, slots, *col)
@@ -166,12 +166,11 @@ def test_residual_nullspace_matches_sweep(fixture):
     residual rows and the commutation sweep cut out the same space, so the
     sampler's reduced echelon basis is the same."""
     chart = fixture.groupoid.model.kind == "chart"
-    poly = 2 if chart else 0
     for key, b in fixture.bundles.items():
         top = 3 if b.rank == 1 and not chart else 2
         for slots in range(top + 1):
-            _, basis = linearity_nullspace(b, slots, poly)
-            assert basis == _sweep_nullspace(b, slots, poly), (key, slots)
+            _, basis = linearity_nullspace(b, slots)
+            assert basis == _sweep_nullspace(b, slots), (key, slots)
 
 
 def _with_form(kernel, coeff):
@@ -189,14 +188,13 @@ def test_flags_agree_with_sweep(name, rng):
     from ncg.chern import curvature_kernels
     fx = load_fixture(name)
     chart = fx.groupoid.model.kind == "chart"
-    poly = 2 if chart else 0
     kernels = []
     for key in ("rank1", "rank2"):
         c = connection_for(fx, key)
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
             kernels += curvature_kernels(c, u).parts.values()
         for slots in (0, 1, 2):
-            sampler = KernelSampler(c.bundle, slots, poly_degree=poly)
+            sampler = KernelSampler(c.bundle, slots)
             k1, k2 = sampler.sample(rng), sampler.sample(rng)
             raw = random_raw_kernel(c.bundle, slots, rng)
             kernels += [kernel_mul(k1, k2), k1 + raw]
@@ -216,8 +214,7 @@ def test_flags_agree_with_sweep(name, rng):
 
 def test_sampler_contract(fixture, rng):
     b = fixture.bundle("rank2")
-    poly = 2 if fixture.groupoid.model.kind == "chart" else 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     if fixture.name == "unit2":
         assert sampler.dimension == 0
         assert sampler.sample(rng) is None
@@ -272,8 +269,7 @@ def test_kernel_mul_associativity(fixture, rng):
 def test_commutator_with_d_scalar(scalar_fixture, rng):
     c = connection_for(scalar_fixture)
     b = c.bundle
-    poly = 0
-    sampler = KernelSampler(b, 1, poly_degree=poly)
+    sampler = KernelSampler(b, 1)
     if sampler.dimension == 0:
         return
     K = sampler.sample(rng)
@@ -302,7 +298,7 @@ def test_commutator_zero_kernel(fixture):
 def test_commutator_chart_includes_horizontal(rng):
     fx = load_fixture("z2chart")
     c = connection_for(fx, "rank1")
-    sampler = KernelSampler(c.bundle, 1, poly_degree=2)
+    sampler = KernelSampler(c.bundle, 1)
     K = sampler.sample(rng)
     out = commutator_with_d(c, K)
     assert 1 in out.parts or 2 in out.parts
