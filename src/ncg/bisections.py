@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .forms import FormError, NCForm
 from .groupoid import GroupoidError, GroupoidSpec
-from .modules import Section, germ_pullback_section
+from .modules import ModuleForm, germ_pullback_section
 
 
 class BisectionError(ValueError):
@@ -86,9 +86,6 @@ class Bisection:
                 return a
         return None
 
-    def __iter__(self):
-        return iter(sorted(self.arrows))
-
     def __len__(self):
         return len(self.arrows)
 
@@ -120,11 +117,6 @@ class BisectionG2:
 
     def contains_support(self, form: NCForm) -> bool:
         return all((k[0], k[1]) in self.pairs for k in form.values)
-
-
-def bisection_ops(u: Bisection, v: Bisection):
-    """The inverse of u, the product uv, and the composable pair set."""
-    return u.inverse(), u.product(v), u.pair_product(v)
 
 
 def bisection_basis(groupoid: GroupoidSpec) -> List[Bisection]:
@@ -204,7 +196,7 @@ def reassemble(pieces: Sequence, groupoid: GroupoidSpec, degree: int) -> NCForm:
 # The germ action on sections
 # ---------------------------------------------------------------------------
 
-def germ_pullback(u: Bisection, section: Section) -> Section:
+def germ_pullback(u: Bisection, section: ModuleForm) -> ModuleForm:
     """Pull a section back along the partial translation of the bisection;
     zero wherever the moment of the point misses the bisection's targets."""
     return germ_pullback_section(sorted(u.arrows), section)

@@ -15,7 +15,7 @@ translated entries land in the endomorphisms of one fiber, where the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .coefficients import GaussRat, mat_mul
 from .forms import AbReducer, GradedSum, NCForm
@@ -139,18 +139,16 @@ def trace_sum(kernels: GradedSum, h: PartitionFunction,
 # Curvature, heat exponential, Chern form
 # ---------------------------------------------------------------------------
 
-def curvature_kernels(connection: ConnectionData,
-                      u: Optional[Fraction] = None) -> GradedSum:
+def curvature_kernels(connection: ConnectionData) -> GradedSum:
     """The square of the interpolated superconnection as verified kernels,
     one homogeneous slot component per simplicial degree."""
     bundle = connection.bundle
-    op = connection.curvature_operator(u)
+    op = connection.curvature_operator()
     return GradedSum(SmoothingKernel, bundle,
                      [operator_to_kernel(op, bundle, slots) for slots in (0, 1, 2)])
 
 
-def heat_exponential(connection: ConnectionData, max_degree: int,
-                     u: Optional[Fraction] = None) -> List[GradedSum]:
+def heat_exponential(connection: ConnectionData, max_degree: int) -> List[GradedSum]:
     """Terms of exp(-curvature): term j is (-1)^j / j! times the j-th
     power, a sum of kernels of total degree 2j; the series terminates
     because every curvature component has positive total degree."""
@@ -158,7 +156,7 @@ def heat_exponential(connection: ConnectionData, max_degree: int,
     terms = [GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])]
     if max_degree < 2:
         return terms
-    curv = curvature_kernels(connection, u)
+    curv = curvature_kernels(connection)
     power = terms[0]
     factorial = 1
     for j in range(1, max_degree // 2 + 1):
@@ -169,10 +167,10 @@ def heat_exponential(connection: ConnectionData, max_degree: int,
     return terms
 
 
-def chern_form(connection: ConnectionData, u: Optional[Fraction] = None,
+def chern_form(connection: ConnectionData,
                max_degree: int = 4) -> Dict[int, GradedSum]:
     """Degree-2j components of the supertrace of the heat exponential."""
-    terms = heat_exponential(connection, max_degree, u)
+    terms = heat_exponential(connection, max_degree)
     return {2 * j: trace_sum(term, connection.h, graded=True)
             for j, term in enumerate(terms)}
 
@@ -255,17 +253,18 @@ def verify_trace_property(k1: SmoothingKernel, k2: SmoothingKernel,
     return reduce_in_ab(diff, reducer, name)
 
 
-def verify_closedness(connection: ConnectionData, u: Fraction,
-                      max_degree: int, reducers: Dict[int, AbReducer]) -> List[Verdict]:
+def verify_closedness(connection: ConnectionData, max_degree: int,
+                      reducers: Dict[int, AbReducer]) -> List[Verdict]:
     """Per degree 2j: (d1 + d2) of the Chern component reduces to zero."""
-    components = chern_form(connection, u, max_degree)
+    components = chern_form(connection, max_degree)
     verdicts = []
     for degree in sorted(components):
         if degree + 1 not in reducers:
             continue
         d_comp = components[degree].d_total()
         verdicts.append(reduce_in_ab(
-            d_comp, reducers[degree + 1], f"closedness-degree-{degree}-u-{u}"))
+            d_comp, reducers[degree + 1],
+            f"closedness-degree-{degree}-u-{connection.u}"))
     return verdicts
 
 
@@ -301,7 +300,8 @@ def chern_vector_bundle(connection: ConnectionData,
     The irrational normalization of the exponential is kept as a formal
     parameter: entry j of the result is the coefficient of its j-th power,
     the pointwise closing trace of the j-th curvature power divided by j!.
-    Entry 0 is the fiberwise rank on units.
+    Entry 0 is the fiberwise rank on units.  The curvature is that of the
+    connection at its own u (u = 1, the plain connection, by default).
     """
     bundle = connection.bundle
     space = bundle.space
@@ -309,7 +309,7 @@ def chern_vector_bundle(connection: ConnectionData,
             any(space.moment[p] != p for p in space.points):
         raise VerificationError(
             "the vector-bundle Chern character lives over the unit space")
-    curv = curvature_kernels(connection, Fraction(1))
+    curv = curvature_kernels(connection)
     out: Dict[int, GradedSum] = {}
     power = GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])
     factorial = 1

@@ -167,8 +167,8 @@ def cmd_chern(args) -> int:
     u = Fraction(args.u)
     reducers = chern_reducers(fixture.groupoid, args.max_degree)
     connection = _resolve_connection(fixture, u)
-    components = chern_form(connection, u, args.max_degree)
-    verdicts = verify_closedness(connection, u, args.max_degree, reducers)
+    components = chern_form(connection, args.max_degree)
+    verdicts = verify_closedness(connection, args.max_degree, reducers)
     payload = {
         "fixture": fixture.name,
         "u": str(u),

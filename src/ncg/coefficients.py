@@ -638,20 +638,3 @@ def mat_mul(a, b):
     entries (the entries of one product share a model)."""
     cols = tuple(zip(*b))
     return tuple(tuple(_dot(row, col) for col in cols) for row in a)
-
-
-# ---------------------------------------------------------------------------
-# Free-function aliases for the coefficient operations
-# ---------------------------------------------------------------------------
-
-def coeff_mul(a, b):
-    """Product of two coefficients (complex product or graded wedge)."""
-    if isinstance(a, GaussRat) != isinstance(b, GaussRat):
-        raise CoefficientError("coefficient model mismatch in coeff_mul")
-    return a * b
-
-def coeff_conj(a):
-    return a.conj()
-
-def coeff_d(a):
-    return a.exterior_d()

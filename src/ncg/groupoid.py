@@ -318,15 +318,11 @@ class FiberedSpace:
             p = self.act(p, a)
         return p
 
-    def is_free(self) -> bool:
-        g = self.groupoid
-        return all(g.is_unit(a) for (p, a), q in self.action.items() if p == q)
-
     def __repr__(self):
         return f"FiberedSpace({self.name}: {len(self.points)} points over {self.groupoid.name})"
 
 
-def validate_space(space: FiberedSpace, require_free: bool = True) -> ValidationReport:
+def validate_space(space: FiberedSpace) -> ValidationReport:
     g = space.groupoid
     report = ValidationReport(f"space {space.name}")
     for p in space.points:
@@ -355,10 +351,9 @@ def validate_space(space: FiberedSpace, require_free: bool = True) -> Validation
         for m in (space.measure[p],):
             if m <= 0:
                 report.add(f"measure at {p!r} is not positive")
-    if require_free:
-        for (p, a), q in space.action.items():
-            if p == q and not g.is_unit(a):
-                report.add(f"action not free: {p!r}.{a!r} == {p!r}")
+    for (p, a), q in space.action.items():
+        if p == q and not g.is_unit(a):
+            report.add(f"action not free: {p!r}.{a!r} == {p!r}")
     return report
 
 

@@ -23,9 +23,8 @@ from .coefficients import GR_ONE, GR_ZERO, GaussRat, PolyFormCoeff, _dot, mat_mu
 from .forms import GradedSum, NCForm, SparseForm, _bounded_monomials
 from .groupoid import EquivariantBundle, FiberedSpace, GroupoidError
 from .linalg import nullspace
-from .modules import (ConnectionData, ModuleForm, Section, as_module_form,
-                      module_keys, vector_rep, _transport_vec, _vec_neg,
-                      _vec_scale)
+from .modules import (ConnectionData, ModuleForm, module_keys, vector_rep,
+                      _transport_vec, _vec_neg, _vec_scale)
 
 
 class KernelError(ValueError):
@@ -251,9 +250,8 @@ def act_AB(kernel: SmoothingKernel, gamma: str, side: str) -> SmoothingKernel:
 # Kernel application and multiplication
 # ---------------------------------------------------------------------------
 
-def apply_kernel(kernel: SmoothingKernel, f) -> ModuleForm:
-    """Evaluate the operator on a module form (or section)."""
-    F = as_module_form(f)
+def apply_kernel(kernel: SmoothingKernel, F: ModuleForm) -> ModuleForm:
+    """Evaluate the operator on a module form."""
     bundle = kernel.bundle
     if F.bundle is not bundle:
         raise KernelError("kernel and form live on different bundles")
@@ -262,11 +260,12 @@ def apply_kernel(kernel: SmoothingKernel, f) -> ModuleForm:
     chart = g.model.kind == "chart"
     k, l = kernel.degree, F.degree
     negate_kl = (k * l) % 2 == 1
+    weights = {p: GaussRat(m) for p, m in space.measure.items()}
     out: Dict[Tuple[str, tuple], tuple] = {}
     for (P, desc, qhat), mat in kernel.values.items():
         if chart:
             mat = _mat_scale_form_degree(mat, l)
-        weight = GaussRat(space.measure[qhat])
+        weight = weights[qhat]
         chain = tuple(reversed(desc))
         back = [g.inv(a) for a in reversed(chain)]
         for (qf, bs), vec in F.values.items():
@@ -293,11 +292,12 @@ def kernel_mul(k1: SmoothingKernel, k2: SmoothingKernel) -> SmoothingKernel:
     space = bundle.space
     chart = g.model.kind == "chart"
     negate = (k1.degree * k2.degree) % 2 == 1
+    weights = {p: GaussRat(m) for p, m in space.measure.items()}
     out: Dict[KernelKey, tuple] = {}
     for (p, desc1, mid), m1 in k1.values.items():
         if chart:
             m1 = _mat_scale_form_degree(m1, k2.degree)
-        weight = GaussRat(space.measure[mid])
+        weight = weights[mid]
         word1 = tuple(reversed(desc1))
         for (mid2, desc2, q), m2 in k2.values.items():
             if mid2 != mid:
@@ -326,9 +326,8 @@ def kernel_sum_mul(a: GradedSum, b: GradedSum) -> GradedSum:
     return out
 
 
-def apply_kernel_sum(kernels: GradedSum, f) -> GradedSum:
-    """Apply a sum of kernels to a module form (or section)."""
-    F = as_module_form(f)
+def apply_kernel_sum(kernels: GradedSum, F: ModuleForm) -> GradedSum:
+    """Apply a sum of kernels to a module form."""
     return GradedSum(ModuleForm, kernels.owner,
                      [apply_kernel(part, F) for part in kernels.parts.values()])
 
@@ -344,7 +343,7 @@ def omega_linearity_failures(kernel: SmoothingKernel, max_cases: Optional[int] =
     bundle = kernel.bundle
     g = bundle.groupoid
     failures = []
-    basis = Section.basis(bundle)
+    basis = ModuleForm.basis(bundle, 0)
     for gamma in g.arrows:
         f = NCForm.delta(g, (gamma,))
         for F in basis:
@@ -358,8 +357,8 @@ def omega_linearity_failures(kernel: SmoothingKernel, max_cases: Optional[int] =
     return failures
 
 
-def _delta_section_id(F: Section):
-    for p, vec in F.values.items():
+def _delta_section_id(F: ModuleForm):
+    for (p, _), vec in F.values.items():
         for i, c in enumerate(vec):
             if not c.is_zero():
                 return p, i
@@ -599,14 +598,14 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle,
     def image(F, degree):
         out = op(F)
         if not isinstance(out, GradedSum):
-            out = GradedSum(ModuleForm, bundle, [as_module_form(out)])
+            out = GradedSum(ModuleForm, bundle, [out])
         return out.component(degree)
 
     entries: Dict[KernelKey, list] = {}
     for qhat in space.points:
         inv_measure = GaussRat(Fraction(1, 1) / space.measure[qhat])
         for j in range(bundle.rank):
-            comp = image(Section.delta(bundle, qhat, j), slots)
+            comp = image(ModuleForm.delta(bundle, qhat, (), j), slots)
             for (p, word), vec in comp.values.items():
                 P = space.act_word(p, word)
                 key = (P, tuple(reversed(word)), qhat)
@@ -620,7 +619,7 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle,
                               for k, m in entries.items()})
     for qhat in space.points:
         for j in range(bundle.rank):
-            F = Section.delta(bundle, qhat, j)
+            F = ModuleForm.delta(bundle, qhat, (), j)
             expect = image(F, slots)
             if apply_kernel(kernel, F) != expect:
                 raise KernelError(
@@ -629,11 +628,7 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle,
     for key in module_keys(space, 1):
         for j in range(bundle.rank):
             F = ModuleForm.delta(bundle, key[0], key[1], j)
-            try:
-                expect = image(F, slots + 1)
-            except TypeError:
-                break
-            if apply_kernel(kernel, F) != expect:
+            if apply_kernel(kernel, F) != image(F, slots + 1):
                 raise KernelError(
                     f"operator is not a {slots}-slot smoothing operator "
                     f"(degree-one check fails at {key!r})")
@@ -651,8 +646,7 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle,
 # ---------------------------------------------------------------------------
 
 def commutator_with_d(connection: ConnectionData,
-                      kernel: SmoothingKernel,
-                      test_mode: bool = False) -> GradedSum:
+                      kernel: SmoothingKernel) -> GradedSum:
     """Kernel of the graded commutator with the (u-independent)
     superconnection: the simplicial part appends one slot at either end
     with partition-function weights; on charts the horizontal part
@@ -660,11 +654,9 @@ def commutator_with_d(connection: ConnectionData,
     commutes with them.
 
     The result is asserted against the operator-level graded commutator on
-    the delta basis.  ``test_mode`` bypasses the linearity precondition and
-    the flag enforcement on the output so deliberately broken kernels can
-    be pushed through the trace pipeline.
+    the delta basis.
     """
-    if not (kernel.equivariant and kernel.cocycle or test_mode):
+    if not (kernel.equivariant and kernel.cocycle):
         raise KernelError("commutator needs a kernel with verified linearity flags")
     bundle = kernel.bundle
     g = bundle.groupoid
@@ -723,10 +715,6 @@ def commutator_with_d(connection: ConnectionData,
     result = GradedSum(SmoothingKernel, bundle, parts)
     _assert_commutator(connection, kernel, result)
     for part in result.parts.values():
-        if test_mode:
-            part.equivariant = True
-            part.cocycle = True
-            continue
         set_flags(part)
         if not (part.equivariant and part.cocycle):
             raise VerificationError("commutator output failed its linearity flags")
@@ -739,7 +727,7 @@ def _assert_commutator(connection, kernel, result):
     piece of the kernel."""
     bundle = kernel.bundle
     pieces = kernel_split_by_form_degree(kernel)
-    for F in Section.basis(bundle):
+    for F in ModuleForm.basis(bundle, 0):
         rhs = GradedSum(ModuleForm, bundle)
         dF = connection.apply_d(F)
         for m, piece in pieces.items():

@@ -1,10 +1,11 @@
-"""Section spaces as modules over the form algebra.
+"""Bundle-valued forms as modules over the form algebra.
 
-Sections live on a fibered right G-space P (the base-space picture is the
-special case P = object set via ``unit_space``).  A module form of degree n
-maps keys (p, g1, ..., gn) with moment(p) = tgt(g1) and all slots non-unit
-to vectors in the bundle fiber at p.g1...gn; coefficients are expressed in
-the chart at that endpoint.
+Module forms live on a fibered right G-space P (the base-space picture is
+the special case P = object set via ``unit_space``).  A module form of
+degree n maps keys (p, g1, ..., gn) with moment(p) = tgt(g1) and all slots
+non-unit to vectors in the bundle fiber at p.g1...gn; coefficients are
+expressed in the chart at that endpoint.  A section is the degree-0 case:
+keys (p, ()), with an absent point holding the zero vector.
 
 The left action of a degree-k form on a degree-l module form produces the
 alternating sum over merges of adjacent slots across the concatenated key,
@@ -49,80 +50,6 @@ def _transport_vec(groupoid, vec, word):
     return tuple(groupoid.transport(c, word) for c in vec)
 
 
-class Section:
-    """A section of the bundle over P: one fiber vector per point."""
-
-    __slots__ = ("bundle", "values")
-
-    def __init__(self, bundle: EquivariantBundle,
-                 values: Optional[Mapping[str, Sequence]] = None):
-        self.bundle = bundle
-        model = bundle.groupoid.model
-        zero_vec = tuple(model.zero() for _ in range(bundle.rank))
-        vals = {}
-        for p in bundle.space.points:
-            vec = tuple(model.check_coefficient(c) for c in values[p]) \
-                if values and p in values else zero_vec
-            if len(vec) != bundle.rank:
-                raise FormError(f"section value at {p!r} has wrong rank")
-            vals[p] = vec
-        self.values = vals
-
-    @classmethod
-    def delta(cls, bundle: EquivariantBundle, point: str, index: int,
-              coeff=None) -> "Section":
-        model = bundle.groupoid.model
-        coeff = model.one() if coeff is None else model.check_coefficient(coeff)
-        vec = tuple(coeff if j == index else model.zero()
-                    for j in range(bundle.rank))
-        return cls(bundle, {point: vec})
-
-    @classmethod
-    def basis(cls, bundle: EquivariantBundle) -> List["Section"]:
-        return [cls.delta(bundle, p, j)
-                for p in bundle.space.points for j in range(bundle.rank)]
-
-    def __call__(self, p: str):
-        return self.values[p]
-
-    def is_zero(self) -> bool:
-        return all(_vec_is_zero(v) for v in self.values.values())
-
-    def __add__(self, other: "Section") -> "Section":
-        out = Section(self.bundle)
-        out.values = {p: _vec_add(self.values[p], other.values[p])
-                      for p in self.values}
-        return out
-
-    def __neg__(self) -> "Section":
-        out = Section(self.bundle)
-        out.values = {p: _vec_neg(v) for p, v in self.values.items()}
-        return out
-
-    def __sub__(self, other: "Section") -> "Section":
-        return self + (-other)
-
-    def scale(self, scalar) -> "Section":
-        out = Section(self.bundle)
-        out.values = {p: _vec_scale(v, scalar) for p, v in self.values.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self.bundle is other.bundle and self.values == other.values
-
-    def to_module_form(self) -> "ModuleForm":
-        vals = {(p, ()): v for p, v in self.values.items() if not _vec_is_zero(v)}
-        return ModuleForm(self.bundle, 0, vals)
-
-    def __repr__(self):
-        bits = ", ".join(f"{p}: ({', '.join(str(c) for c in v)})"
-                         for p, v in sorted(self.values.items())
-                         if not _vec_is_zero(v))
-        return f"Section({{{bits}}})"
-
-
 class ModuleForm(SparseForm):
     """A degree-n form with values in the bundle, sparse over keys."""
 
@@ -145,6 +72,8 @@ class ModuleForm(SparseForm):
                 raise FormError(f"key {(p, word)} has wrong degree")
             if any(g.is_unit(a) for a in word):
                 continue
+            if p not in space.moment:
+                raise FormError(f"unknown point {p!r}")
             if word and space.moment[p] != g.tgt[word[0]]:
                 raise FormError(f"moment condition fails on {(p, word)}")
             for a, b in zip(word, word[1:]):
@@ -185,11 +114,6 @@ class ModuleForm(SparseForm):
         p, word = key
         return self.bundle.space.act_word(p, word)
 
-    def to_section(self) -> Section:
-        if self.degree != 0:
-            raise FormError("only degree-0 module forms convert to sections")
-        return Section(self.bundle, {p: v for (p, _), v in self.values.items()})
-
     def __repr__(self):
         bits = ", ".join(f"{p}|{','.join(w)}: ({', '.join(str(c) for c in v)})"
                          for (p, w), v in self.entries())
@@ -210,23 +134,18 @@ def module_keys(space: FiberedSpace, degree: int):
     return out
 
 
-def as_module_form(f) -> ModuleForm:
-    return f.to_module_form() if isinstance(f, Section) else f
-
-
 # ---------------------------------------------------------------------------
 # The vector representation
 # ---------------------------------------------------------------------------
 
-def vector_rep(omega: NCForm, f) -> object:
-    """Left action of a degree-k form on a degree-l module form or section.
+def vector_rep(omega: NCForm, F: ModuleForm) -> ModuleForm:
+    """Left action of a degree-k form on a degree-l module form.
 
     Every entry pair contributes k merge terms inside the form's slots, one
     junction merge, l - 1 merges inside the module slots, and one boundary
     term where the trailing arrow of the concatenation is summed freely and
     the value is pulled back through the bundle action.
     """
-    F = as_module_form(f)
     bundle = F.bundle
     g = omega.groupoid
     if g is not bundle.groupoid:
@@ -285,8 +204,6 @@ def vector_rep(omega: NCForm, f) -> object:
 
     result = ModuleForm(bundle, k + l)
     result.values = out
-    if k + l == 0 and isinstance(f, Section):
-        return result.to_section()
     return result
 
 
@@ -294,14 +211,14 @@ def vector_rep(omega: NCForm, f) -> object:
 # The form-valued inner product
 # ---------------------------------------------------------------------------
 
-def inner_product(u1: Section, u2: Section) -> NCForm:
+def inner_product(u1: ModuleForm, u2: ModuleForm) -> NCForm:
     """<u1, u2>(g) integrates <u1(p), u2(p.g) g^{-1}> over the fiber at
     tgt(g).
 
     The pairing is linear in the first argument and conjugate-linear in
     the second; this is the unique choice under which the convolution
     identity f * <u1, u2> == <(action of f) u1, u2> holds for complex
-    scalars.
+    scalars.  Both arguments are sections (degree-0 module forms).
     """
     bundle = u1.bundle
     if bundle is not u2.bundle:
@@ -313,8 +230,10 @@ def inner_product(u1: Section, u2: Section) -> NCForm:
     for arrow in g.arrows:
         total = None
         for p in space.fiber(g.tgt[arrow]):
-            v1 = u1.values[p]
-            v2 = u2.values[space.act(p, arrow)]
+            v1 = u1.values.get((p, ()))
+            v2 = u2.values.get((space.act(p, arrow), ()))
+            if v1 is None or v2 is None:
+                continue
             back = bundle.act_matrix_inv(p, arrow)
             if chart:
                 v2 = _transport_vec(g, v2, (g.inv(arrow),))
@@ -334,7 +253,7 @@ def inner_product(u1: Section, u2: Section) -> NCForm:
     return NCForm(g, 0, values)
 
 
-def base_metric(u1: Section, u2: Section) -> Dict[str, object]:
+def base_metric(u1: ModuleForm, u2: ModuleForm) -> Dict[str, object]:
     """The restriction of the inner product to unit arrows, per object."""
     form = inner_product(u1, u2)
     g = u1.bundle.groupoid
@@ -346,10 +265,9 @@ def base_metric(u1: Section, u2: Section) -> Dict[str, object]:
 # The simplicial connection part
 # ---------------------------------------------------------------------------
 
-def nabla01(f, h: PartitionFunction) -> ModuleForm:
+def nabla01(F: ModuleForm, h: PartitionFunction) -> ModuleForm:
     """Append one arrow at the far end, push the value along it, and weight
     by the partition function at the new endpoint; sign (-1)^degree."""
-    F = as_module_form(f)
     bundle = F.bundle
     g = bundle.groupoid
     space = bundle.space
@@ -380,32 +298,34 @@ def nabla01(f, h: PartitionFunction) -> ModuleForm:
 # Germ transport of sections along bisections
 # ---------------------------------------------------------------------------
 
-def germ_pullback_section(arrows, f: Section) -> Section:
+def germ_pullback_section(arrows, F: ModuleForm) -> ModuleForm:
     """Pull a section back along the partial map p -> p . (arrow over
     moment(p)): value at p becomes the value at the translated point,
     carried back through the bundle action; zero off the domain."""
-    bundle = f.bundle
+    if F.degree != 0:
+        raise FormError("germ pullback takes a section (degree-0 module form)")
+    bundle = F.bundle
     g = bundle.groupoid
     space = bundle.space
-    chart = g.model.kind == "chart"
     by_target = {}
     for a in arrows:
         if g.tgt[a] in by_target:
             raise GroupoidError("target map not injective on the bisection")
         by_target[g.tgt[a]] = a
-    out = Section(bundle)
-    vals = dict(out.values)
+    out: Dict[Tuple[str, tuple], tuple] = {}
     for p in space.points:
         a = by_target.get(space.moment[p])
         if a is None:
             continue
-        v = f.values[space.act(p, a)]
-        if chart:
-            v = _transport_vec(g, v, (g.inv(a),))
+        v = F.values.get((space.act(p, a), ()))
+        if v is None:
+            continue
+        v = _transport_vec(g, v, (g.inv(a),))
         back = bundle.act_matrix_inv(p, a)
-        vals[p] = tuple(_dot(back[i], v) for i in range(bundle.rank))
-    out.values = vals
-    return out
+        ModuleForm.put(out, (p, ()), tuple(_dot(back[i], v) for i in range(bundle.rank)))
+    result = ModuleForm(bundle, 0)
+    result.values = out
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -446,37 +366,14 @@ class ConnectionData:
         if self.horizontal is None:
             return report
         bundle, g = self.bundle, self.bundle.groupoid
-        basis = Section.basis(bundle)
         for a in g.nonunit_arrows():
-            for f in basis:
-                lhs = self._horizontal_apply(germ_pullback_section([a], f).to_module_form(),
-                                             self.horizontal)
-                rhs = self._germ_pullback_degree0(a, self._horizontal_apply(
-                    f.to_module_form(), self.horizontal))
+            for f in ModuleForm.basis(bundle, 0):
+                lhs = self._horizontal_apply(germ_pullback_section([a], f), self.horizontal)
+                rhs = germ_pullback_section([a], self._horizontal_apply(f, self.horizontal))
                 if lhs != rhs:
                     report.add(f"horizontal part not invariant along {a!r}")
                     return report
         return report
-
-    def _germ_pullback_degree0(self, arrow, F: ModuleForm) -> ModuleForm:
-        bundle = self.bundle
-        g = bundle.groupoid
-        space = bundle.space
-        out = {}
-        for p in space.points:
-            if space.moment[p] != g.tgt[arrow]:
-                continue
-            v = F.values.get((space.act(p, arrow), ()))
-            if v is None:
-                continue
-            v = _transport_vec(g, v, (g.inv(arrow),))
-            back = bundle.act_matrix_inv(p, arrow)
-            vec = tuple(_dot(back[i], v) for i in range(bundle.rank))
-            if not _vec_is_zero(vec):
-                out[(p, ())] = vec
-        result = ModuleForm(bundle, 0)
-        result.values = out
-        return result
 
     # -- the two horizontal operators ----------------------------------------------
 
@@ -530,41 +427,37 @@ class ConnectionData:
 
     # -- superconnections ---------------------------------------------------------------
 
-    def apply_d(self, f) -> GradedSum:
+    def apply_d(self, F: ModuleForm) -> GradedSum:
         """D = horizontal + simplicial."""
-        F = as_module_form(f)
         return GradedSum(ModuleForm, self.bundle,
                          [self._horizontal_apply(F, self.horizontal), nabla01(F, self.h)])
 
-    def apply_d_adjoint(self, f) -> GradedSum:
-        F = as_module_form(f)
+    def apply_d_adjoint(self, F: ModuleForm) -> GradedSum:
         return GradedSum(ModuleForm, self.bundle,
                          [self._horizontal_apply(F, self.adjoint_horizontal()),
                           nabla01(F, self.h)])
 
-    def apply_du(self, f, u: Optional[Fraction] = None) -> GradedSum:
-        """D(u) = u D + (1 - u) D'."""
-        u = self.u if u is None else Fraction(u)
-        F = as_module_form(f)
+    def apply_du(self, F: ModuleForm) -> GradedSum:
+        """D(u) = u D + (1 - u) D' at the connection's u."""
         plain = self.apply_d(F)
         if self.horizontal is None:
             return plain  # D == D' when there is no horizontal part
         adj = self.apply_d_adjoint(F)
-        return plain.scale(GaussRat(u)) + adj.scale(GaussRat(1 - u))
+        return plain.scale(GaussRat(self.u)) + adj.scale(GaussRat(1 - self.u))
 
-    def apply_du_sum(self, forms: GradedSum, u: Optional[Fraction] = None) -> GradedSum:
+    def apply_du_sum(self, forms: GradedSum) -> GradedSum:
         out = GradedSum(ModuleForm, self.bundle)
         for part in forms.parts.values():
-            out = out + self.apply_du(part, u)
+            out = out + self.apply_du(part)
         return out
 
-    def curvature_operator(self, u: Optional[Fraction] = None) -> Callable:
-        def op(f):
-            return self.apply_du_sum(self.apply_du(f, u), u)
+    def curvature_operator(self) -> Callable:
+        def op(F):
+            return self.apply_du_sum(self.apply_du(F))
         return op
 
 
-def adjunction_residual(c: ConnectionData, u1: Section, u2: Section):
+def adjunction_residual(c: ConnectionData, u1: ModuleForm, u2: ModuleForm):
     """d<u1,u2> - <D u1, u2> - <u1, D' u2> restricted to unit arrows;
     identically zero for the computed adjoint."""
     bundle = c.bundle
@@ -575,10 +468,9 @@ def adjunction_residual(c: ConnectionData, u1: Section, u2: Section):
         d = coeff.exterior_d()
         if not d.is_zero():
             lhs[x] = d
-    du1 = c._horizontal_apply(u1.to_module_form(), c.horizontal)
-    du2 = c._horizontal_apply(u2.to_module_form(), c.adjoint_horizontal())
-    for a, b in ((du1, u2.to_module_form()),
-                 (u1.to_module_form(), du2)):
+    du1 = c._horizontal_apply(u1, c.horizontal)
+    du2 = c._horizontal_apply(u2, c.adjoint_horizontal())
+    for a, b in ((du1, u2), (u1, du2)):
         for p in bundle.space.points:
             va = a.values.get((p, ()))
             vb = b.values.get((p, ()))

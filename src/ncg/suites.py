@@ -26,8 +26,8 @@ from .kernels import (KernelSampler, SmoothingKernel, apply_kernel,
                       equivariance_residuals, kernel_from_coordinates,
                       kernel_keys, kernel_mul,
                       omega_linearity_failures)
-from .modules import (ConnectionData, ModuleForm, Section, as_module_form,
-                      inner_product, module_keys, vector_rep)
+from .modules import (ConnectionData, ModuleForm, inner_product, module_keys,
+                      vector_rep)
 from .reference import convolve_reference, trace_reference
 
 SUITE_NAMES = ("algebra", "bisection", "module", "kernels", "theorem", "chern")
@@ -78,10 +78,10 @@ def random_function(groupoid, rng: random.Random, density: float = 0.85) -> NCFo
     return random_form(groupoid, 0, rng, density, with_forms=False)
 
 
-def random_section(bundle, rng: random.Random) -> Section:
+def random_section(bundle, rng: random.Random) -> ModuleForm:
     model = bundle.groupoid.model
-    return Section(bundle, {
-        p: tuple(random_coeff(model, rng) for _ in range(bundle.rank))
+    return ModuleForm(bundle, 0, {
+        (p, ()): tuple(random_coeff(model, rng) for _ in range(bundle.rank))
         for p in bundle.space.points})
 
 
@@ -379,8 +379,8 @@ def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
         w1, w2 = random_form(g, k, rng), random_form(g, l, rng)
         deg = rng.randint(0, 1)
         F = random_section(b, rng) if deg == 0 else random_module_form(b, 1, rng)
-        lhs = as_module_form(vector_rep(w1 * w2, F))
-        rhs = as_module_form(vector_rep(w1, vector_rep(w2, F)))
+        lhs = vector_rep(w1 * w2, F)
+        rhs = vector_rep(w1, vector_rep(w2, F))
         if lhs != rhs:
             return {"bundle": b.name, "degrees": [k, l, deg]}
         return None
@@ -394,15 +394,15 @@ def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
         def connection_axiom(rng, trial, u=u):
             b = pick_bundle(rng)
             hor = fixture.horizontal[_bundle_key(fixture, b)] if fixture.horizontal else None
-            c = ConnectionData(b, fixture.h, horizontal=hor)
+            c = ConnectionData(b, fixture.h, horizontal=hor, u=u)
             f = random_function(g, rng)
             F = random_section(b, rng)
-            lhs = c.apply_du(vector_rep(f, F), u)
+            lhs = c.apply_du(vector_rep(f, F))
             rhs = GradedSum(ModuleForm, b)
-            for part in c.apply_du(F, u).parts.values():
+            for part in c.apply_du(F).parts.values():
                 rhs.accumulate(vector_rep(f, part))
-            rhs.accumulate(as_module_form(vector_rep(f.d1(), F)))
-            rhs.accumulate(as_module_form(vector_rep(f.d2(), F)))
+            rhs.accumulate(vector_rep(f.d1(), F))
+            rhs.accumulate(vector_rep(f.d2(), F))
             if lhs != rhs:
                 return {"bundle": b.name}
             return None
@@ -477,7 +477,7 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
         kp = rng.choice([1, 2])
         w = random_form(g, kp, rng, with_forms=False)
         F = random_section(bundle, rng)
-        lhs = apply_kernel(K, as_module_form(vector_rep(w, F)))
+        lhs = apply_kernel(K, vector_rep(w, F))
         rhs = vector_rep(w, apply_kernel(K, F))
         if (K.degree * kp) % 2:
             rhs = -rhs
@@ -534,8 +534,6 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
                                      name=f"theorem-k{trial:03d}-u-{u}")
             rec.record_verdict(verdict)
 
-    c = ConnectionData(bundle, fixture.h, horizontal=hor)
-
     # the trace property
     pair_reducer = reducer_at(2 * sampler.slots)
     for trial in range(trials):
@@ -571,7 +569,7 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
         hor = fixture.horizontal[bundle_key] if fixture.horizontal else None
         for u in u_values:
             c = ConnectionData(bundle, fixture.h, horizontal=hor, u=u)
-            for verdict in verify_closedness(c, u, max_degree, reducers):
+            for verdict in verify_closedness(c, max_degree, reducers):
                 verdict.name = f"{bundle_key}-{verdict.name}"
                 rec.record_verdict(verdict)
 

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from ncg.bisections import (Bisection, BisectionError, bisection_basis,
-                            bisection_ops, decompose, germ_pullback,
-                            is_bisection, one_u, reassemble)
+                            decompose, germ_pullback, is_bisection, one_u,
+                            reassemble)
 from ncg.coefficients import GaussRat, GR_ONE
 from ncg.fixtures import cyclic_groupoid, load_fixture, pair_groupoid, unit_groupoid
 from ncg.forms import FormError, NCForm
 from ncg.groupoid import GroupoidError
-from ncg.modules import Section
+from ncg.modules import ModuleForm
 from ncg.suites import random_coeff, random_form, random_section
 
 
@@ -34,7 +34,7 @@ def test_bisection_ops_examples():
     g = pair_groupoid()
     u = Bisection.of(g, ["1>2"])
     v = Bisection.of(g, ["2>1"])
-    ui, uv, uxv = bisection_ops(u, v)
+    ui, uv, uxv = u.inverse(), u.product(v), u.pair_product(v)
     assert set(ui.arrows) == {"2>1"}
     assert set(uv.arrows) == {"1>1"}
     assert set(uxv.pairs) == {("1>2", "2>1")}
@@ -146,12 +146,13 @@ def test_germ_pullback_swap_example():
     b = fx.bundles["rank1"]
     swap_arrows = [a for a in g.arrows if not g.is_unit(a)]
     u = Bisection.of(g, swap_arrows)
-    F = Section(b, {p: (GaussRat(i),) for i, p in enumerate(b.space.points)})
+    F = ModuleForm(b, 0, {(p, ()): (GaussRat(i),)
+                          for i, p in enumerate(b.space.points)})
     moved = germ_pullback(u, F)
     space = b.space
     for p in space.points:
         arrow = u.arrow_over_target(space.moment[p])
-        assert moved.values[p] == F.values[space.act(p, arrow)]
+        assert moved.value(p, ()) == F.value(space.act(p, arrow), ())
 
 
 def test_germ_pullback_units_identity(fixture, rng):
@@ -167,12 +168,12 @@ def test_germ_pullback_sign_action():
     g = fx.groupoid
     b = fx.bundles["rank2"]  # odd line caries the sign character
     u = Bisection.of(g, ["g1"])
-    F = Section(b, {"e": (GaussRat(1), GaussRat(2)),
-                    "g1": (GaussRat(3), GaussRat(5))})
+    F = ModuleForm(b, 0, {("e", ()): (GaussRat(1), GaussRat(2)),
+                          ("g1", ()): (GaussRat(3), GaussRat(5))})
     moved = germ_pullback(u, F)
     # value at p is the value at p.g with the odd component negated
-    assert moved.values["e"] == (GaussRat(3), GaussRat(-5))
-    assert moved.values["g1"] == (GaussRat(1), GaussRat(-2))
+    assert moved.values[("e", ())] == (GaussRat(3), GaussRat(-5))
+    assert moved.values[("g1", ())] == (GaussRat(1), GaussRat(-2))
 
 
 def test_germ_product_law(fixture, rng):

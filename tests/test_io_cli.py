@@ -374,6 +374,10 @@ GOLDEN_REPORTS = [
      "028715d4b2d4a064651ed12d7cd38fa0b0bee93f479da6fe32de27a71e50a784"),
     (["chern", "z2chart"],
      "fe5821aa3501f4d8e4286953b02a9affb78f94d46b05be9bf800adb1470ce19f"),
+    (["verify", "--suite", "module", "--fixture", "z3", "--trials", "20"],
+     "f1517f4472b0aaba1886fc032e587e1f2a57f8967e2c4c420cb8cc31b08fa5c8"),
+    (["verify", "--suite", "bisection", "--fixture", "z2swap", "--trials", "20"],
+     "62e95d1f8dd4b9d88bf23134ea422901ad11d8173b35376c712ce9b9a60456d7"),
 ]
 
 

@@ -11,14 +11,13 @@ from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
                          linearity_constraint_columns, linearity_nullspace,
                          omega_linearity_failures, operator_to_kernel, set_flags)
 from ncg.linalg import nullspace
-from ncg.modules import (ConnectionData, Section, as_module_form,
-                         nabla01, vector_rep)
+from ncg.modules import ConnectionData, ModuleForm, nabla01, vector_rep
 from ncg.suites import random_raw_kernel, random_section, random_module_form
 
 
-def connection_for(fixture, key="rank2"):
+def connection_for(fixture, key="rank2", u=Fraction(1)):
     hor = fixture.horizontal[key] if fixture.horizontal else None
-    return ConnectionData(fixture.bundle(key), fixture.h, horizontal=hor)
+    return ConnectionData(fixture.bundle(key), fixture.h, horizontal=hor, u=u)
 
 
 def brute_force_apply(kernel, section):
@@ -41,7 +40,7 @@ def brute_force_apply(kernel, section):
                 mat = kernel.values.get((endpoint, tuple(reversed(chain)), q))
                 if mat is None:
                     continue
-                vec = section.values[q]
+                vec = section.value(q, ())
                 if g.model.kind == "chart":
                     vec = tuple(g.transport(c, chain) for c in vec)
                 weight = GaussRat(space.measure[q])
@@ -66,7 +65,7 @@ def test_delta_kernel_is_identity(fixture, rng):
         delta = SmoothingKernel.delta(b)
         for _ in range(5):
             F = random_section(b, rng)
-            assert apply_kernel(delta, F) == F.to_module_form()
+            assert apply_kernel(delta, F) == F
             G = random_module_form(b, 1, rng)
             assert apply_kernel(delta, G) == G
 
@@ -148,7 +147,7 @@ def _sweep_nullspace(bundle, slots):
         basis = _basis_kernel(bundle, slots, *col)
         for gamma in g.nonunit_arrows():
             f = NCForm.delta(g, (gamma,))
-            for n, F in enumerate(Section.basis(bundle)):
+            for n, F in enumerate(ModuleForm.basis(bundle, 0)):
                 diff = apply_kernel(basis, vector_rep(f, F)) - \
                     vector_rep(f, apply_kernel(basis, F))
                 for mkey, vec in diff.values.items():
@@ -190,9 +189,9 @@ def test_flags_agree_with_sweep(name, rng):
     chart = fx.groupoid.model.kind == "chart"
     kernels = []
     for key in ("rank1", "rank2"):
-        c = connection_for(fx, key)
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            kernels += curvature_kernels(c, u).parts.values()
+            kernels += curvature_kernels(connection_for(fx, key, u)).parts.values()
+        c = connection_for(fx, key)
         for slots in (0, 1, 2):
             sampler = KernelSampler(c.bundle, slots)
             k1, k2 = sampler.sample(rng), sampler.sample(rng)
@@ -284,7 +283,7 @@ def test_commutator_with_delta_kernel(fixture, rng):
     delta = SmoothingKernel.delta(c.bundle)
     out = commutator_with_d(c, delta)
     # [D, identity] = 0: operator asserted inside; entries must cancel
-    for F in Section.basis(c.bundle)[:2]:
+    for F in ModuleForm.basis(c.bundle, 0)[:2]:
         assert apply_kernel_sum(out, F).is_zero()
 
 
@@ -306,7 +305,7 @@ def test_commutator_chart_includes_horizontal(rng):
 
 def test_operator_to_kernel_identity(fixture):
     b = fixture.bundle("rank2")
-    kernel = operator_to_kernel(lambda F: as_module_form(F), b, 0)
+    kernel = operator_to_kernel(lambda F: F, b, 0)
     assert kernel == SmoothingKernel.delta(b)
 
 
@@ -314,9 +313,9 @@ def test_operator_to_kernel_squared_nabla(scalar_fixture):
     fx = scalar_fixture
     b = fx.bundle("rank2")
     def op(F):
-        return nabla01(nabla01(as_module_form(F), fx.h), fx.h)
+        return nabla01(nabla01(F, fx.h), fx.h)
     kernel = operator_to_kernel(op, b, 2)
-    for F in Section.basis(b):
+    for F in ModuleForm.basis(b, 0):
         assert apply_kernel(kernel, F) == op(F)
 
 
@@ -326,16 +325,16 @@ def test_operator_to_kernel_rejects_nabla(fixture):
     if not fx.groupoid.nonunit_arrows():
         return  # the simplicial derivative vanishes identically here
     def op(F):
-        return nabla01(as_module_form(F), fx.h)
+        return nabla01(F, fx.h)
     with pytest.raises(KernelError):
         operator_to_kernel(op, b, 1)
 
 
 def test_mixed_degree_kernel_split(rng):
     fx = load_fixture("z2chart")
-    c = connection_for(fx, "rank2")
+    c = connection_for(fx, "rank2", Fraction(1, 2))
     from ncg.chern import curvature_kernels
-    curv = curvature_kernels(c, Fraction(1, 2))
+    curv = curvature_kernels(c)
     from ncg.kernels import kernel_split_by_form_degree
     for part in curv.parts.values():
         pieces = kernel_split_by_form_degree(part)

@@ -6,30 +6,29 @@ from ncg.coefficients import GaussRat, GR_ONE, PolyFormCoeff
 from ncg.fixtures import load_fixture
 from ncg.forms import GradedSum, NCForm
 from ncg.kernels import operator_to_kernel
-from ncg.modules import (ConnectionData, ModuleForm, Section,
-                         adjunction_residual, as_module_form, inner_product,
-                         nabla01, vector_rep)
+from ncg.modules import (ConnectionData, ModuleForm, adjunction_residual,
+                         inner_product, nabla01, vector_rep)
 from ncg.suites import (random_form, random_function, random_module_form,
                         random_section)
 
 
-def connection_for(fixture, key):
+def connection_for(fixture, key, u=Fraction(1)):
     hor = fixture.horizontal[key] if fixture.horizontal else None
-    return ConnectionData(fixture.bundle(key), fixture.h, horizontal=hor)
+    return ConnectionData(fixture.bundle(key), fixture.h, horizontal=hor, u=u)
 
 
 def test_vector_rep_translation_example():
     fx = load_fixture("z2")
     b = fx.bundles["rank1"]
-    F = Section(b, {"e": (GaussRat(3),), "g1": (GaussRat(5),)})
+    F = ModuleForm(b, 0, {("e", ()): (GaussRat(3),), ("g1", ()): (GaussRat(5),)})
     moved = vector_rep(NCForm.delta(fx.groupoid, ("g1",)), F)
-    assert moved.values == {"e": (GaussRat(5),), "g1": (GaussRat(3),)}
+    assert moved.values == {("e", ()): (GaussRat(5),), ("g1", ()): (GaussRat(3),)}
 
 
 def test_vector_rep_unit_identity():
     fx = load_fixture("z2")
     b = fx.bundles["rank1"]
-    F = Section(b, {"e": (GaussRat(3),), "g1": (GaussRat(5),)})
+    F = ModuleForm(b, 0, {("e", ()): (GaussRat(3),), ("g1", ()): (GaussRat(5),)})
     assert vector_rep(NCForm.delta(fx.groupoid, ("e",)), F) == F
 
 
@@ -43,8 +42,7 @@ def test_vector_rep_multiplicative(fixture, rng):
                 continue
             w1, w2 = random_form(g, k, rng), random_form(g, l, rng)
             F = random_section(b, rng)
-            assert as_module_form(vector_rep(w1 * w2, F)) == \
-                as_module_form(vector_rep(w1, vector_rep(w2, F)))
+            assert vector_rep(w1 * w2, F) == vector_rep(w1, vector_rep(w2, F))
         for _ in range(8):
             w1, w2 = random_form(g, rng.randint(0, 1), rng), \
                 random_form(g, rng.randint(0, 1), rng)
@@ -55,8 +53,8 @@ def test_vector_rep_multiplicative(fixture, rng):
 def test_inner_product_indicator_example():
     fx = load_fixture("z2")
     b = fx.bundles["rank1"]
-    u1 = Section.delta(b, "e", 0)
-    u2 = Section.delta(b, "g1", 0)
+    u1 = ModuleForm.delta(b, "e", (), 0)
+    u2 = ModuleForm.delta(b, "g1", (), 0)
     form = inner_product(u1, u2)
     assert form.values == {("g1",): GR_ONE}
 
@@ -70,9 +68,9 @@ def test_inner_product_positivity(fixture, rng):
             u = random_section(b, rng)
         else:
             from ncg.suites import random_coeff
-            u = Section(b, {p: tuple(random_coeff(model, rng, with_forms=False)
-                                     for _ in range(b.rank))
-                            for p in b.space.points})
+            u = ModuleForm(b, 0, {(p, ()): tuple(random_coeff(model, rng, with_forms=False)
+                                                 for _ in range(b.rank))
+                                  for p in b.space.points})
         norm = inner_product(u, u)
         for x in g.objects:
             value = norm.coeff((g.unit[x],))
@@ -99,7 +97,7 @@ def test_pre_hilbert_identities(fixture, rng):
 def test_nabla01_constant_section_example():
     fx = load_fixture("z2")
     b = fx.bundles["rank1"]
-    F = Section(b, {"e": (GR_ONE,), "g1": (GR_ONE,)})
+    F = ModuleForm(b, 0, {("e", ()): (GR_ONE,), ("g1", ()): (GR_ONE,)})
     out = nabla01(F, fx.h)
     half = GaussRat(Fraction(1, 2))
     assert out.values == {("e", ("g1",)): (half,), ("g1", ("g1",)): (half,)}
@@ -118,8 +116,7 @@ def test_nabla01_connection_leibniz(fixture, rng):
         f = random_function(g, rng)
         F = random_section(b, rng)
         lhs = nabla01(vector_rep(f, F), fixture.h)
-        rhs = vector_rep(f, nabla01(F, fixture.h)) + \
-            as_module_form(vector_rep(f.d2(), F))
+        rhs = vector_rep(f, nabla01(F, fixture.h)) + vector_rep(f.d2(), F)
         assert lhs == rhs
 
 
@@ -131,36 +128,36 @@ def test_nabla01_degree_sign(scalar_fixture, rng):
         for _ in range(8):
             w = random_form(g, l, rng)
             F = random_section(b, rng)
-            lhs = nabla01(as_module_form(vector_rep(w, F)), h)
+            lhs = nabla01(vector_rep(w, F), h)
             t1 = vector_rep(w, nabla01(F, h))
             if l % 2:
                 t1 = -t1
-            assert lhs == t1 + as_module_form(vector_rep(w.d2(), F))
+            assert lhs == t1 + vector_rep(w.d2(), F)
 
 
 def test_connection_axiom(fixture, rng):
     g = fixture.groupoid
     for key in ("rank1", "rank2"):
-        c = connection_for(fixture, key)
-        b = c.bundle
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            c = connection_for(fixture, key, u)
+            b = c.bundle
             for _ in range(6):
                 f = random_function(g, rng)
                 F = random_section(b, rng)
-                lhs = c.apply_du(vector_rep(f, F), u)
+                lhs = c.apply_du(vector_rep(f, F))
                 rhs = GradedSum(ModuleForm, b)
-                for part in c.apply_du(F, u).parts.values():
+                for part in c.apply_du(F).parts.values():
                     rhs.accumulate(vector_rep(f, part))
-                rhs.accumulate(as_module_form(vector_rep(f.d1(), F)))
-                rhs.accumulate(as_module_form(vector_rep(f.d2(), F)))
+                rhs.accumulate(vector_rep(f.d1(), F))
+                rhs.accumulate(vector_rep(f.d2(), F))
                 assert lhs == rhs
 
 
 def test_scalar_superconnection_is_simplicial(scalar_fixture, rng):
-    c = connection_for(scalar_fixture, "rank1")
-    F = random_section(c.bundle, rng)
+    F = random_section(scalar_fixture.bundle("rank1"), rng)
     for u in (Fraction(0), Fraction(1), Fraction(1, 3)):
-        out = c.apply_du(F, u)
+        c = connection_for(scalar_fixture, "rank1", u)
+        out = c.apply_du(F)
         assert out == GradedSum(ModuleForm, c.bundle, [nabla01(F, scalar_fixture.h)])
 
 
@@ -196,15 +193,16 @@ def test_curvature_unit_groupoid_zero():
     fx = load_fixture("unit2")
     c = connection_for(fx, "rank2")
     op = c.curvature_operator()
-    for F in Section.basis(c.bundle):
+    for F in ModuleForm.basis(c.bundle, 0):
         assert op(F).is_zero()
 
 
 def test_curvature_scalar_u_independent(scalar_fixture, rng):
-    c = connection_for(scalar_fixture, "rank2")
+    c0 = connection_for(scalar_fixture, "rank2", Fraction(0))
+    c = connection_for(scalar_fixture, "rank2", Fraction(1))
     F = random_section(c.bundle, rng)
-    out0 = c.apply_du_sum(c.apply_du(F, Fraction(0)), Fraction(0))
-    out1 = c.apply_du_sum(c.apply_du(F, Fraction(1)), Fraction(1))
+    out0 = c0.apply_du_sum(c0.apply_du(F))
+    out1 = c.apply_du_sum(c.apply_du(F))
     assert out0 == out1
     # equals the double simplicial derivative
     expected = nabla01(nabla01(F, scalar_fixture.h), scalar_fixture.h)
@@ -214,7 +212,7 @@ def test_curvature_scalar_u_independent(scalar_fixture, rng):
 def test_chart_curvature_components():
     fx = load_fixture("z2chart")
     c = connection_for(fx, "rank1")
-    op = c.curvature_operator(Fraction(1))
+    op = c.curvature_operator()
     # (2,0)-part dA + A ^ A = 0 for A = x dx on one variable; the mixed
     # (1,1)-part cancels exactly because A is invariant and h is constant
     assert operator_to_kernel(op, c.bundle, 0).is_zero()
