@@ -15,7 +15,7 @@ translated entries land in the endomorphisms of one fiber, where the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .coefficients import GaussRat, mat_mul
 from .forms import AbReducer, GradedSum, NCForm
@@ -124,10 +124,6 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
     return NCForm(g, n, values)
 
 
-def supertrace(kernel: SmoothingKernel, h: PartitionFunction) -> NCForm:
-    return trace_e(kernel, h, graded=True)
-
-
 def trace_sum(kernels: GradedSum, h: PartitionFunction,
               graded: bool = False) -> GradedSum:
     groupoid = kernels.owner.groupoid
@@ -142,29 +138,33 @@ def trace_sum(kernels: GradedSum, h: PartitionFunction,
 def curvature_kernels(connection: ConnectionData) -> GradedSum:
     """The square of the interpolated superconnection as verified kernels,
     one homogeneous slot component per simplicial degree."""
-    bundle = connection.bundle
-    op = connection.curvature_operator()
-    return GradedSum(SmoothingKernel, bundle,
-                     [operator_to_kernel(op, bundle, slots) for slots in (0, 1, 2)])
+    return operator_to_kernel(connection.curvature_operator(), connection.bundle)
 
 
-def heat_exponential(connection: ConnectionData, max_degree: int) -> List[GradedSum]:
-    """Terms of exp(-curvature): term j is (-1)^j / j! times the j-th
-    power, a sum of kernels of total degree 2j; the series terminates
-    because every curvature component has positive total degree."""
+def _curvature_series(connection: ConnectionData, max_degree: int,
+                      sign: int) -> List[GradedSum]:
+    """Term j is sign^j / j! times the j-th curvature power, a sum of
+    kernels of total degree 2j, for 2j up to max_degree; the series
+    terminates because every curvature component has positive total
+    degree."""
     bundle = connection.bundle
-    terms = [GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])]
+    power = GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])
+    terms = [power]
     if max_degree < 2:
         return terms
     curv = curvature_kernels(connection)
-    power = terms[0]
     factorial = 1
     for j in range(1, max_degree // 2 + 1):
         power = kernel_sum_mul(power, curv)
         factorial *= j
-        scale = GaussRat(Fraction(-1 if j % 2 else 1, factorial))
-        terms.append(power.scale(scale))
+        terms.append(power.scale(GaussRat(Fraction(sign ** j, factorial))))
     return terms
+
+
+def heat_exponential(connection: ConnectionData, max_degree: int) -> List[GradedSum]:
+    """Terms of exp(-curvature): term j is (-1)^j / j! times the j-th
+    power."""
+    return _curvature_series(connection, max_degree, -1)
 
 
 def chern_form(connection: ConnectionData,
@@ -253,19 +253,14 @@ def verify_trace_property(k1: SmoothingKernel, k2: SmoothingKernel,
     return reduce_in_ab(diff, reducer, name)
 
 
-def verify_closedness(connection: ConnectionData, max_degree: int,
-                      reducers: Dict[int, AbReducer]) -> List[Verdict]:
-    """Per degree 2j: (d1 + d2) of the Chern component reduces to zero."""
-    components = chern_form(connection, max_degree)
-    verdicts = []
-    for degree in sorted(components):
-        if degree + 1 not in reducers:
-            continue
-        d_comp = components[degree].d_total()
-        verdicts.append(reduce_in_ab(
-            d_comp, reducers[degree + 1],
-            f"closedness-degree-{degree}-u-{connection.u}"))
-    return verdicts
+def verify_closedness(components: Dict[int, GradedSum],
+                      reducers: Dict[int, AbReducer],
+                      name: Callable[[int], str]) -> List[Verdict]:
+    """Per degree: (d1 + d2) of the given component reduces to zero against
+    the reducer one degree up; name(degree) names the verdict."""
+    return [reduce_in_ab(components[degree].d_total(), reducers[degree + 1],
+                         name(degree))
+            for degree in sorted(components)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +293,11 @@ def chern_vector_bundle(connection: ConnectionData,
     """Chern character of a connection on a bundle over the unit space.
 
     The irrational normalization of the exponential is kept as a formal
-    parameter: entry j of the result is the coefficient of its j-th power,
-    the pointwise closing trace of the j-th curvature power divided by j!.
-    Entry 0 is the fiberwise rank on units.  The curvature is that of the
-    connection at its own u (u = 1, the plain connection, by default).
+    parameter: the component of degree 2j is the coefficient of its j-th
+    power, the pointwise closing trace of the j-th curvature power divided
+    by j!.  Degree 0 is the fiberwise rank on units.  The curvature is that
+    of the connection at its own u (u = 1, the plain connection, by
+    default).
     """
     bundle = connection.bundle
     space = bundle.space
@@ -309,32 +305,7 @@ def chern_vector_bundle(connection: ConnectionData,
             any(space.moment[p] != p for p in space.points):
         raise VerificationError(
             "the vector-bundle Chern character lives over the unit space")
-    curv = curvature_kernels(connection)
-    out: Dict[int, GradedSum] = {}
-    power = GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])
-    factorial = 1
-    for j in range(max_degree // 2 + 1):
-        if j:
-            power = kernel_sum_mul(power, curv)
-            factorial *= j
-        scale = GaussRat(Fraction(1, factorial))
-        out[j] = GradedSum(NCForm, bundle.groupoid,
-                           [pointwise_trace(part).scale(scale)
-                            for part in power.parts.values()])
-    return out
-
-
-def verify_vb_closedness(connection: ConnectionData, max_degree: int,
-                         reducers: Dict[int, AbReducer]) -> List[Verdict]:
-    """Closedness of each formal-parameter coefficient of the bundle Chern
-    character, degree by degree."""
-    components = chern_vector_bundle(connection, max_degree)
-    verdicts = []
-    for j in sorted(components):
-        degree = 2 * j
-        if degree + 1 not in reducers:
-            continue
-        verdicts.append(reduce_in_ab(
-            components[j].d_total(), reducers[degree + 1],
-            f"vb-closedness-tau^{j}"))
-    return verdicts
+    terms = _curvature_series(connection, max_degree, 1)
+    return {2 * j: GradedSum(NCForm, bundle.groupoid,
+                             [pointwise_trace(part) for part in term.parts.values()])
+            for j, term in enumerate(terms)}

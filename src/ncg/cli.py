@@ -28,7 +28,6 @@ from .io import (LoadError, form_to_json, kernel_to_json, load_form,
                  load_kernel, load_manifest, suite_parameters)
 from .kernels import (KernelError, KernelSampler, equivariance_residuals,
                       kernel_mul)
-from .modules import ConnectionData
 from .suites import SUITE_NAMES, chern_reducers, derive_rng, run_suite
 
 INPUT_ERRORS = (LoadError, GroupoidError, FormError, KernelError,
@@ -46,12 +45,6 @@ def _emit(payload, output=None):
 
 def _fractions(values):
     return [Fraction(v) for v in values]
-
-
-def _resolve_connection(fixture, u=Fraction(1)):
-    key = fixture.default_bundle
-    hor = fixture.horizontal[key] if fixture.horizontal else None
-    return ConnectionData(fixture.bundle(), fixture.h, horizontal=hor, u=u)
 
 
 def cmd_validate(args) -> int:
@@ -165,10 +158,10 @@ def cmd_verify(args) -> int:
 def cmd_chern(args) -> int:
     fixture = load_manifest(args.manifest)
     u = Fraction(args.u)
-    reducers = chern_reducers(fixture.groupoid, args.max_degree)
-    connection = _resolve_connection(fixture, u)
-    components = chern_form(connection, args.max_degree)
-    verdicts = verify_closedness(connection, args.max_degree, reducers)
+    components = chern_form(fixture.connection(u=u), args.max_degree)
+    verdicts = verify_closedness(components,
+                                 chern_reducers(fixture.groupoid, args.max_degree),
+                                 lambda d: f"closedness-degree-{d}-u-{u}")
     payload = {
         "fixture": fixture.name,
         "u": str(u),

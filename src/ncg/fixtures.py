@@ -16,6 +16,7 @@ partition function, a trivial rank-1 bundle and a graded rank-2 bundle):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Optional
 
 from .coefficients import (CoefficientModel, GaussRat, GR_ONE, GR_ZERO,
@@ -24,6 +25,7 @@ from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidSpec,
                        PartitionFunction, canonical_h, right_regular_space,
                        transformation_groupoid, trivial_bundle,
                        validate_bundle, validate_groupoid, validate_space)
+from .modules import ConnectionData
 
 
 @dataclass
@@ -40,6 +42,14 @@ class Fixture:
 
     def bundle(self, key: Optional[str] = None) -> EquivariantBundle:
         return self.bundles[key or self.default_bundle]
+
+    def connection(self, key: Optional[str] = None,
+                   u: Fraction = Fraction(1)) -> ConnectionData:
+        """The bundle's connection: h, its horizontal matrices on chart
+        fixtures, at the interpolation parameter u."""
+        key = key or self.default_bundle
+        hor = self.horizontal[key] if self.horizontal else None
+        return ConnectionData(self.bundle(key), self.h, horizontal=hor, u=u)
 
 
 def _cyclic_group(n: int):

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .coefficients import GR_ONE, GR_ZERO, GaussRat, PolyFormCoeff, _dot, mat_mul
 from .forms import GradedSum, NCForm, SparseForm, _bounded_monomials
-from .groupoid import EquivariantBundle, FiberedSpace, GroupoidError
+from .groupoid import EquivariantBundle, FiberedSpace
 from .linalg import nullspace
 from .modules import (ConnectionData, ModuleForm, module_keys, vector_rep,
                       _transport_vec, _vec_neg, _vec_scale)
@@ -217,33 +217,6 @@ def translate_q(bundle: EquivariantBundle, q: str, gamma: str, mat):
     matrix (the p-side chart is untouched)."""
     act_inv = _mat_conv(bundle, bundle.act_matrix_inv(q, gamma))
     return mat_mul(mat, act_inv)
-
-
-def act_AB(kernel: SmoothingKernel, gamma: str, side: str) -> SmoothingKernel:
-    """Translate every entry along gamma on the chosen fiber index.
-
-    side 'A' sends the entry at (p, slots, q) to (p.gamma, slots, q);
-    side 'B' sends it to (p, slots, q.gamma).  Raises if any entry is not
-    composable with gamma.
-    """
-    if side not in ("A", "B"):
-        raise KernelError(f"side must be 'A' or 'B', got {side!r}")
-    bundle = kernel.bundle
-    space = bundle.space
-    g = bundle.groupoid
-    out: Dict[KernelKey, tuple] = {}
-    for (p, desc, q), mat in kernel.values.items():
-        if side == "A":
-            if space.moment[p] != g.tgt[gamma]:
-                raise GroupoidError(f"cannot A-translate {(p, desc, q)} along {gamma!r}")
-            out[(space.act(p, gamma), desc, q)] = translate_p(bundle, p, gamma, mat)
-        else:
-            if space.moment[q] != g.tgt[gamma]:
-                raise GroupoidError(f"cannot B-translate {(p, desc, q)} along {gamma!r}")
-            out[(p, desc, space.act(q, gamma))] = translate_q(bundle, q, gamma, mat)
-    result = SmoothingKernel(bundle, kernel.degree)
-    result.values = out
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -580,65 +553,66 @@ class KernelSampler:
 # Kernel extraction from a black-box operator
 # ---------------------------------------------------------------------------
 
-def operator_to_kernel(op: Callable, bundle: EquivariantBundle,
-                       slots: int) -> SmoothingKernel:
-    """Read the kernel of a form-linear operator off the delta basis.
+def operator_to_kernel(op: Callable, bundle: EquivariantBundle) -> GradedSum:
+    """Read the kernels of a form-linear operator off the delta basis.
 
-    The operator is evaluated on every delta section; the degree-``slots``
-    component of the output determines the kernel uniquely.  The result is
-    verified by a round trip on the same basis and on the degree-one delta
-    module forms, and a nonzero result against the form-linearity
+    The operator is evaluated once on every delta section; the degree-k
+    component of each image determines the k-slot kernel uniquely, and
+    every slot component is returned as one part of the sum.  The result
+    is verified by a round trip on the same images and on the degree-one
+    delta module forms, and each part against the form-linearity
     conditions, which reject integral-shaped operators that fail to commute
-    with the function action, like the bare simplicial connection; a
-    nonzero result therefore carries verified flags.
+    with the function action, like the bare simplicial connection; every
+    part therefore carries verified flags.
     """
     space = bundle.space
     model = bundle.groupoid.model
 
-    def image(F, degree):
+    def image(F):
         out = op(F)
-        if not isinstance(out, GradedSum):
-            out = GradedSum(ModuleForm, bundle, [out])
-        return out.component(degree)
+        return out if isinstance(out, GradedSum) else GradedSum(ModuleForm, bundle, [out])
 
-    entries: Dict[KernelKey, list] = {}
+    entries: Dict[int, Dict[KernelKey, list]] = {}
+    images = []
     for qhat in space.points:
         inv_measure = GaussRat(Fraction(1, 1) / space.measure[qhat])
         for j in range(bundle.rank):
-            comp = image(ModuleForm.delta(bundle, qhat, (), j), slots)
-            for (p, word), vec in comp.values.items():
-                P = space.act_word(p, word)
-                key = (P, tuple(reversed(word)), qhat)
-                mat = entries.setdefault(
-                    key, [[model.zero() for _ in range(bundle.rank)]
-                          for _ in range(bundle.rank)])
-                for i in range(bundle.rank):
-                    mat[i][j] = mat[i][j] + vec[i].scale(inv_measure)
-    kernel = SmoothingKernel(bundle, slots,
-                             {k: tuple(tuple(row) for row in m)
-                              for k, m in entries.items()})
-    for qhat in space.points:
-        for j in range(bundle.rank):
             F = ModuleForm.delta(bundle, qhat, (), j)
-            expect = image(F, slots)
-            if apply_kernel(kernel, F) != expect:
-                raise KernelError(
-                    f"operator is not a {slots}-slot smoothing operator "
-                    f"(round trip fails on the delta section at {qhat!r})")
+            out = image(F)
+            images.append((qhat, F, out))
+            for slots, comp in out.parts.items():
+                mats = entries.setdefault(slots, {})
+                for (p, word), vec in comp.values.items():
+                    P = space.act_word(p, word)
+                    mat = mats.setdefault(
+                        (P, tuple(reversed(word)), qhat),
+                        [[model.zero() for _ in range(bundle.rank)]
+                         for _ in range(bundle.rank)])
+                    for i in range(bundle.rank):
+                        mat[i][j] = mat[i][j] + vec[i].scale(inv_measure)
+    kernels = GradedSum(SmoothingKernel, bundle, [
+        SmoothingKernel(bundle, slots, {k: tuple(tuple(row) for row in m)
+                                        for k, m in entries[slots].items()})
+        for slots in sorted(entries)])
+    for qhat, F, out in images:
+        if apply_kernel_sum(kernels, F) != out:
+            raise KernelError(
+                "operator is not a smoothing operator "
+                f"(round trip fails on the delta section at {qhat!r})")
     for key in module_keys(space, 1):
         for j in range(bundle.rank):
             F = ModuleForm.delta(bundle, key[0], key[1], j)
-            if apply_kernel(kernel, F) != image(F, slots + 1):
+            if apply_kernel_sum(kernels, F) != image(F):
                 raise KernelError(
-                    f"operator is not a {slots}-slot smoothing operator "
+                    "operator is not a smoothing operator "
                     f"(degree-one check fails at {key!r})")
-    if not kernel.is_zero():
-        set_flags(kernel)
-        if not (kernel.equivariant and kernel.cocycle):
+    for part in kernels.parts.values():
+        set_flags(part)
+        if not (part.equivariant and part.cocycle):
             raise KernelError(
-                f"operator is not a {slots}-slot smoothing operator "
-                f"(the kernel fails the form-linearity conditions)")
-    return kernel
+                f"operator is not a smoothing operator (its {part.degree}-slot "
+                "kernel fails the form-linearity conditions)")
+    return kernels
 
 
 # ---------------------------------------------------------------------------

@@ -253,14 +253,6 @@ def inner_product(u1: ModuleForm, u2: ModuleForm) -> NCForm:
     return NCForm(g, 0, values)
 
 
-def base_metric(u1: ModuleForm, u2: ModuleForm) -> Dict[str, object]:
-    """The restriction of the inner product to unit arrows, per object."""
-    form = inner_product(u1, u2)
-    g = u1.bundle.groupoid
-    return {g.tgt[key[0]]: c for key, c in form.values.items()
-            if g.is_unit(key[0])}
-
-
 # ---------------------------------------------------------------------------
 # The simplicial connection part
 # ---------------------------------------------------------------------------
@@ -334,7 +326,11 @@ def germ_pullback_section(arrows, F: ModuleForm) -> ModuleForm:
 
 class ConnectionData:
     """Horizontal connection matrices (chart model), the partition function
-    driving the simplicial part, and the interpolation parameter u."""
+    driving the simplicial part, and the interpolation parameter u.
+
+    D = horizontal + simplicial is linear in the connection matrices, so
+    D(u) = u D + (1 - u) D' is D run with the interpolated matrices
+    u A + (1 - u) A', built once here."""
 
     def __init__(self, bundle: EquivariantBundle, h: PartitionFunction,
                  horizontal: Optional[Mapping[str, Sequence[Sequence]]] = None,
@@ -345,6 +341,7 @@ class ConnectionData:
         g = bundle.groupoid
         model = g.model
         self.horizontal = None
+        self.horizontal_u = None
         if horizontal is not None:
             if model.kind != "chart":
                 raise FormError("horizontal connection matrices need the chart model")
@@ -352,10 +349,16 @@ class ConnectionData:
                 p: tuple(tuple(model.check_coefficient(v) for v in row)
                          for row in horizontal[p])
                 for p in bundle.space.points}
-        self._adjoint = None
         report = self.validate()
         if not report.ok:
             raise FormError(str(report))
+        if self.horizontal is not None:
+            s, t = GaussRat(self.u), GaussRat(1 - self.u)
+            adjoint = self.adjoint_horizontal()
+            self.horizontal_u = {
+                p: tuple(tuple(a.scale(s) + b.scale(t) for a, b in zip(r1, r2))
+                         for r1, r2 in zip(mat, adjoint[p]))
+                for p, mat in self.horizontal.items()}
 
     # -- validation -------------------------------------------------------------
 
@@ -375,7 +378,7 @@ class ConnectionData:
                     return report
         return report
 
-    # -- the two horizontal operators ----------------------------------------------
+    # -- the horizontal operator ---------------------------------------------------
 
     def adjoint_horizontal(self):
         """Connection matrices of the metric adjoint, -conj(H^{-1} A^T H);
@@ -383,21 +386,19 @@ class ConnectionData:
         original matrix, so the adjoint superconnection coincides there."""
         if self.horizontal is None:
             return None
-        if self._adjoint is None:
-            bundle = self.bundle
-            out = {}
-            for p, mat in self.horizontal.items():
-                rank = bundle.rank
-                at = tuple(tuple(mat[j][i] for j in range(rank))
-                           for i in range(rank))
-                hmat = tuple(tuple(bundle.groupoid.model.from_gauss(v)
-                                   for v in row) for row in bundle.metric[p])
-                hinv = tuple(tuple(bundle.groupoid.model.from_gauss(v)
-                                   for v in row) for row in mat_inverse(bundle.metric[p]))
-                prod = mat_mul(hinv, mat_mul(at, hmat))
-                out[p] = tuple(tuple(-v.conj() for v in row) for row in prod)
-            self._adjoint = out
-        return self._adjoint
+        bundle = self.bundle
+        model = bundle.groupoid.model
+        rank = bundle.rank
+        out = {}
+        for p, mat in self.horizontal.items():
+            at = tuple(tuple(mat[j][i] for j in range(rank)) for i in range(rank))
+            hmat = tuple(tuple(model.from_gauss(v) for v in row)
+                         for row in bundle.metric[p])
+            hinv = tuple(tuple(model.from_gauss(v) for v in row)
+                         for row in mat_inverse(bundle.metric[p]))
+            prod = mat_mul(hinv, mat_mul(at, hmat))
+            out[p] = tuple(tuple(-v.conj() for v in row) for row in prod)
+        return out
 
     def _horizontal_apply(self, F: ModuleForm, matrices) -> ModuleForm:
         """(-1)^n (exterior derivative + connection matrix at the endpoint)."""
@@ -427,23 +428,17 @@ class ConnectionData:
 
     # -- superconnections ---------------------------------------------------------------
 
+    def _apply(self, F: ModuleForm, matrices) -> GradedSum:
+        return GradedSum(ModuleForm, self.bundle,
+                         [self._horizontal_apply(F, matrices), nabla01(F, self.h)])
+
     def apply_d(self, F: ModuleForm) -> GradedSum:
         """D = horizontal + simplicial."""
-        return GradedSum(ModuleForm, self.bundle,
-                         [self._horizontal_apply(F, self.horizontal), nabla01(F, self.h)])
-
-    def apply_d_adjoint(self, F: ModuleForm) -> GradedSum:
-        return GradedSum(ModuleForm, self.bundle,
-                         [self._horizontal_apply(F, self.adjoint_horizontal()),
-                          nabla01(F, self.h)])
+        return self._apply(F, self.horizontal)
 
     def apply_du(self, F: ModuleForm) -> GradedSum:
         """D(u) = u D + (1 - u) D' at the connection's u."""
-        plain = self.apply_d(F)
-        if self.horizontal is None:
-            return plain  # D == D' when there is no horizontal part
-        adj = self.apply_d_adjoint(F)
-        return plain.scale(GaussRat(self.u)) + adj.scale(GaussRat(1 - self.u))
+        return self._apply(F, self.horizontal_u)
 
     def apply_du_sum(self, forms: GradedSum) -> GradedSum:
         out = GradedSum(ModuleForm, self.bundle)
@@ -455,34 +450,3 @@ class ConnectionData:
         def op(F):
             return self.apply_du_sum(self.apply_du(F))
         return op
-
-
-def adjunction_residual(c: ConnectionData, u1: ModuleForm, u2: ModuleForm):
-    """d<u1,u2> - <D u1, u2> - <u1, D' u2> restricted to unit arrows;
-    identically zero for the computed adjoint."""
-    bundle = c.bundle
-    g = bundle.groupoid
-    lhs = {}
-    base = base_metric(u1, u2)
-    for x, coeff in base.items():
-        d = coeff.exterior_d()
-        if not d.is_zero():
-            lhs[x] = d
-    du1 = c._horizontal_apply(u1, c.horizontal)
-    du2 = c._horizontal_apply(u2, c.adjoint_horizontal())
-    for a, b in ((du1, u2), (u1, du2)):
-        for p in bundle.space.points:
-            va = a.values.get((p, ()))
-            vb = b.values.get((p, ()))
-            if va is None or vb is None:
-                continue
-            h = bundle.metric[p]
-            term = None
-            for i in range(bundle.rank):
-                for j in range(bundle.rank):
-                    piece = va[i] * (g.model.from_gauss(h[i][j]) * vb[j].conj())
-                    term = piece if term is None else term + piece
-            term = term.scale(GaussRat(bundle.space.measure[p]))
-            x = bundle.space.moment[p]
-            lhs[x] = lhs.get(x, g.model.zero()) - term
-    return {x: v for x, v in lhs.items() if not v.is_zero()}

@@ -15,9 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .bisections import (Bisection, decompose, germ_pullback, is_bisection,
                          one_u, reassemble)
-from .chern import (Verdict, chern_vector_bundle, trace_e,
-                    verify_closedness, verify_theorem, verify_trace_property,
-                    verify_vb_closedness)
+from .chern import (Verdict, chern_form, chern_vector_bundle, trace_e,
+                    verify_closedness, verify_theorem, verify_trace_property)
 from .coefficients import GaussRat, PolyFormCoeff
 from .fixtures import Fixture
 from .forms import AbReducer, GradedSum, NCForm
@@ -351,7 +350,8 @@ def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
                u_values: Sequence[Fraction] = U_DEFAULT, **_) -> dict:
     g = fixture.groupoid
     rec = Recorder()
-    bundles = [fixture.bundle(k) for k in _bundle_keys(fixture)]
+    keys = _bundle_keys(fixture)
+    bundles = [fixture.bundle(k) for k in keys]
 
     def pick_bundle(rng):
         return bundles[rng.randrange(len(bundles))]
@@ -391,10 +391,11 @@ def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
             seed, "module")
 
     for u in u_values:
-        def connection_axiom(rng, trial, u=u):
-            b = pick_bundle(rng)
-            hor = fixture.horizontal[_bundle_key(fixture, b)] if fixture.horizontal else None
-            c = ConnectionData(b, fixture.h, horizontal=hor, u=u)
+        connections = [fixture.connection(k, u) for k in keys]
+
+        def connection_axiom(rng, trial, connections=connections):
+            c = connections[rng.randrange(len(connections))]
+            b = c.bundle
             f = random_function(g, rng)
             F = random_section(b, rng)
             lhs = c.apply_du(vector_rep(f, F))
@@ -408,13 +409,6 @@ def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
             return None
         rec.law(f"connection-axiom-u-{u}", trials, connection_axiom, seed, "module")
     return rec.report("module", fixture.name)
-
-
-def _bundle_key(fixture: Fixture, bundle) -> str:
-    for key, b in fixture.bundles.items():
-        if b is bundle:
-            return key
-    raise KeyError(bundle.name)
 
 
 def _sampler(fixture: Fixture, bundle_key: str, slots: int = 1) -> KernelSampler:
@@ -513,7 +507,6 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
     bundle_key = _main_bundle_key(fixture)
     bundle = fixture.bundle(bundle_key)
     sampler = _sampler(fixture, bundle_key)
-    hor = fixture.horizontal[bundle_key] if fixture.horizontal else None
 
     if sampler.dimension == 0:
         rec.record("sampler", True,
@@ -528,7 +521,7 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
         kernels.append(K)
 
     for u in u_values:
-        c = ConnectionData(bundle, fixture.h, horizontal=hor, u=u)
+        c = fixture.connection(bundle_key, u)
         for trial, K in enumerate(kernels):
             verdict = verify_theorem(c, K, reducer_at(K.degree + 1),
                                      name=f"theorem-k{trial:03d}-u-{u}")
@@ -565,12 +558,11 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
     reducers = chern_reducers(g, max_degree)
 
     for bundle_key in _bundle_keys(fixture):
-        bundle = fixture.bundle(bundle_key)
-        hor = fixture.horizontal[bundle_key] if fixture.horizontal else None
         for u in u_values:
-            c = ConnectionData(bundle, fixture.h, horizontal=hor, u=u)
-            for verdict in verify_closedness(c, max_degree, reducers):
-                verdict.name = f"{bundle_key}-{verdict.name}"
+            components = chern_form(fixture.connection(bundle_key, u), max_degree)
+            for verdict in verify_closedness(
+                    components, reducers,
+                    lambda d: f"{bundle_key}-closedness-degree-{d}-u-{u}"):
                 rec.record_verdict(verdict)
 
     # the unit-space bundle Chern character
@@ -582,10 +574,12 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
         xdx = PolyFormCoeff.monomial(g.model.dim, (1,), (1,))
         zero = PolyFormCoeff(g.model.dim)
         hor0 = {p: ((xdx, zero), (zero, -xdx)) for p in us.points}
-    c0 = ConnectionData(vb, h0, horizontal=hor0)
-    for verdict in verify_vb_closedness(c0, max_degree, reducers):
+    components = chern_vector_bundle(ConnectionData(vb, h0, horizontal=hor0),
+                                     max_degree)
+    for verdict in verify_closedness(components, reducers,
+                                     lambda d: f"vb-closedness-tau^{d // 2}"):
         rec.record_verdict(verdict)
-    comp0 = chern_vector_bundle(c0, 0)[0].component(0)
+    comp0 = components[0].component(0)
     expected = {(g.unit[x],): g.model.from_gauss(GaussRat(2)) for x in g.objects}
     rec.record("vb-rank-density", comp0.values == expected,
                certificate="degree-0 component equals the fiber rank on units")

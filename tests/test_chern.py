@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from ncg.chern import (VerificationError, chern_form, chern_vector_bundle,
-                       heat_exponential, reduce_in_ab, supertrace, trace_e,
-                       trace_sum, verify_closedness, verify_theorem,
-                       verify_trace_property, verify_vb_closedness)
+                       curvature_kernels, heat_exponential, reduce_in_ab,
+                       trace_e, trace_sum, verify_closedness, verify_theorem,
+                       verify_trace_property)
+from ncg.cli import main
 from ncg.coefficients import GaussRat, GR_ONE, PolyFormCoeff
 from ncg.fixtures import load_fixture
 from ncg.forms import AbReducer, GradedSum, NCForm
@@ -16,11 +17,6 @@ from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
 from ncg.modules import ConnectionData, ModuleForm, nabla01
 from ncg.reference import trace_reference
 from ncg.suites import derive_rng, random_raw_kernel
-
-
-def connection_for(fixture, key="rank2", u=Fraction(1)):
-    hor = fixture.horizontal[key] if fixture.horizontal else None
-    return ConnectionData(fixture.bundle(key), fixture.h, horizontal=hor, u=u)
 
 
 def test_trace_delta_kernel_example():
@@ -55,7 +51,7 @@ def test_trace_and_commutator_require_boundary_condition():
     with pytest.raises(KernelError):
         trace_e(K, fx.h)
     with pytest.raises(KernelError):
-        commutator_with_d(connection_for(fx, "rank1"), K)
+        commutator_with_d(fx.connection("rank1"), K)
 
 
 def test_trace_against_reference(fixture, rng):
@@ -66,8 +62,8 @@ def test_trace_against_reference(fixture, rng):
         if K is None:
             return
         assert trace_e(K, fixture.h) == trace_reference(K, fixture.h)
-        assert supertrace(K, fixture.h) == trace_reference(K, fixture.h,
-                                                           graded=True)
+        assert trace_e(K, fixture.h, graded=True) == \
+            trace_reference(K, fixture.h, graded=True)
 
 
 def test_trace_linearity_and_degree(fixture, rng):
@@ -107,18 +103,18 @@ def test_supertrace_graded_examples():
     fx = load_fixture("z2")
     graded = fx.bundles["rank2-trivial"]  # grading (+, -), trivial action
     delta = SmoothingKernel.delta(graded)
-    assert supertrace(delta, fx.h).is_zero()
+    assert trace_e(delta, fx.h, graded=True).is_zero()
     ungraded = trivial_bundle(fx.space, 2)
     delta2 = SmoothingKernel.delta(ungraded)
-    assert supertrace(delta2, fx.h) == trace_e(delta2, fx.h)
+    assert trace_e(delta2, fx.h, graded=True) == trace_e(delta2, fx.h)
     flipped = trivial_bundle(fx.space, 2, grading=(-1, -1))
     delta3 = SmoothingKernel.delta(flipped)
-    assert supertrace(delta3, fx.h) == -trace_e(delta3, fx.h)
+    assert trace_e(delta3, fx.h, graded=True) == -trace_e(delta3, fx.h)
 
 
 def test_heat_zero_curvature_is_delta_only():
     fx = load_fixture("unit2")
-    c = connection_for(fx)
+    c = fx.connection()
     terms = heat_exponential(c, 4)
     assert len(terms) == 3
     assert terms[0].parts == {0: SmoothingKernel.delta(c.bundle)}
@@ -126,7 +122,7 @@ def test_heat_zero_curvature_is_delta_only():
 
 
 def test_heat_first_term_is_negative_squared_connection(scalar_fixture):
-    c = connection_for(scalar_fixture)
+    c = scalar_fixture.connection()
     terms = heat_exponential(c, 2)
     fx = scalar_fixture
     def op(F):
@@ -138,7 +134,7 @@ def test_heat_first_term_is_negative_squared_connection(scalar_fixture):
 
 
 def test_heat_terms_match_operator_powers(scalar_fixture):
-    c = connection_for(scalar_fixture)
+    c = scalar_fixture.connection()
     terms = heat_exponential(c, 4)
     fx = scalar_fixture
     h = fx.h
@@ -153,7 +149,7 @@ def test_heat_terms_match_operator_powers(scalar_fixture):
 def test_heat_semigroup_consistency(scalar_fixture):
     """Sum over a+b=j of term_a * term_b equals the heat terms at doubled
     curvature: exp(-C)^2 = exp(-2C), degree by degree."""
-    c = connection_for(scalar_fixture)
+    c = scalar_fixture.connection()
     terms = heat_exponential(c, 4)
     for j in (0, 1, 2):
         total = None
@@ -165,7 +161,7 @@ def test_heat_semigroup_consistency(scalar_fixture):
 
 
 def test_chern_form_degree_zero(fixture):
-    c = connection_for(fixture, "rank1", Fraction(1, 2))
+    c = fixture.connection("rank1", Fraction(1, 2))
     components = chern_form(c, 0)
     comp = components[0].component(0)
     g = fixture.groupoid
@@ -179,28 +175,28 @@ def test_chern_form_degree_zero(fixture):
 
 def test_chern_form_graded_cancellation():
     fx = load_fixture("z2")
-    c = connection_for(fx, "rank2-trivial", Fraction(1, 2))
+    c = fx.connection("rank2-trivial", Fraction(1, 2))
     components = chern_form(c, 0)
     assert components[0].is_zero()
 
 
 def test_chern_u_independent_in_scalar_model(scalar_fixture):
-    c0 = connection_for(scalar_fixture, "rank2", Fraction(0))
-    c1 = connection_for(scalar_fixture, "rank2", Fraction(1))
+    c0 = scalar_fixture.connection("rank2", Fraction(0))
+    c1 = scalar_fixture.connection("rank2", Fraction(1))
     assert chern_form(c0, 4).keys() == chern_form(c1, 4).keys()
     for degree, comp in chern_form(c0, 4).items():
         assert comp == chern_form(c1, 4)[degree]
 
 
 def test_verify_theorem_zero_kernel(fixture):
-    c = connection_for(fixture)
+    c = fixture.connection()
     zero = SmoothingKernel.zero(c.bundle, 1)
     reducer = AbReducer(fixture.groupoid, 2)
     assert verify_theorem(c, zero, reducer).passed
 
 
 def test_verify_theorem_sampled(fixture, rng):
-    c = connection_for(fixture)
+    c = fixture.connection()
     sampler = KernelSampler(c.bundle, 1)
     if sampler.dimension == 0:
         return
@@ -241,7 +237,7 @@ def test_verify_theorem_broken_kernel_fails(rng, monkeypatch):
     # bypass the flag check on the commutator's output parts
     monkeypatch.setattr("ncg.kernels.set_flags", mark_verified)
     fx = load_fixture("z3")
-    c = connection_for(fx, "rank1")
+    c = fx.connection("rank1")
     reducer = AbReducer(fx.groupoid, 2)
     found = False
     for _ in range(10):
@@ -320,8 +316,8 @@ def test_verify_closedness_all_u(fixture):
     reducers = {2 * j + 1: AbReducer(g, 2 * j + 1) for j in range(3)}
     for key in ("rank1", "rank2"):
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            c = connection_for(fixture, key, u)
-            verdicts = verify_closedness(c, 4, reducers)
+            c = fixture.connection(key, u)
+            verdicts = verify_closedness(chern_form(c, 4), reducers, str)
             assert verdicts and all(verdicts), (key, u)
 
 
@@ -336,7 +332,7 @@ def test_vb_chern_rank_density(scalar_fixture):
 
 def test_vb_chern_requires_unit_space():
     fx = load_fixture("z2")
-    c = connection_for(fx, "rank1")
+    c = fx.connection("rank1")
     with pytest.raises(VerificationError):
         chern_vector_bundle(c, 2)
 
@@ -346,7 +342,7 @@ def test_vb_chern_closedness(scalar_fixture):
     us = unit_space(g)
     c = ConnectionData(trivial_bundle(us, 2), canonical_h(us))
     reducers = {d: AbReducer(g, d) for d in (1, 3, 5)}
-    verdicts = verify_vb_closedness(c, 4, reducers)
+    verdicts = verify_closedness(chern_vector_bundle(c, 4), reducers, str)
     assert verdicts and all(verdicts)
 
 
@@ -358,8 +354,48 @@ def test_vb_chern_chart_with_connection():
     xdx = PolyFormCoeff.monomial(1, (1,), (1,))
     c = ConnectionData(bundle, h, horizontal={p: ((xdx,),) for p in us.points})
     reducers = {1: AbReducer(g, 1), 3: AbReducer(g, 3)}
-    verdicts = verify_vb_closedness(c, 2, reducers)
+    verdicts = verify_closedness(chern_vector_bundle(c, 2), reducers, str)
     assert verdicts and all(verdicts)
     comps = chern_vector_bundle(c, 2)
     assert comps[0].component(0).values == {
         ("e",): PolyFormCoeff.constant(1, GR_ONE)}
+
+
+def count_curvature_builds(monkeypatch):
+    calls = []
+    build = curvature_kernels
+
+    def counted(connection):
+        calls.append(connection)
+        return build(connection)
+
+    monkeypatch.setattr("ncg.chern.curvature_kernels", counted)
+    return calls
+
+
+def test_cmd_chern_builds_curvature_once(monkeypatch, capsys):
+    calls = count_curvature_builds(monkeypatch)
+    assert main(["chern", "z3"]) == 0
+    assert len(calls) == 1
+
+
+def test_chern_suite_builds_curvature_once_per_connection(monkeypatch, capsys):
+    calls = count_curvature_builds(monkeypatch)
+    assert main(["verify", "--suite", "chern", "--fixture", "z3"]) == 0
+    # rank1 and rank2 at three values of u, then the unit-space bundle
+    assert len(calls) == 7
+
+
+def test_curvature_kernels_evaluate_once_per_basis_form(monkeypatch):
+    c = load_fixture("z3").connection("rank2")
+    op = c.curvature_operator()
+    calls = []
+
+    def counted(F):
+        calls.append(F)
+        return op(F)
+
+    monkeypatch.setattr(c, "curvature_operator", lambda: counted)
+    curvature_kernels(c)
+    # 6 delta sections and 12 degree-one deltas (6 non-unit arrows, rank 2)
+    assert len(calls) == 18

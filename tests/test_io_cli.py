@@ -378,6 +378,13 @@ GOLDEN_REPORTS = [
      "f1517f4472b0aaba1886fc032e587e1f2a57f8967e2c4c420cb8cc31b08fa5c8"),
     (["verify", "--suite", "bisection", "--fixture", "z2swap", "--trials", "20"],
      "62e95d1f8dd4b9d88bf23134ea422901ad11d8173b35376c712ce9b9a60456d7"),
+    (["verify", "--suite", "chern", "--fixture", "z3"],
+     "f163c7a8fc023b032824b45e03b211caad2e2d2528951835c097bc55e71791e5"),
+    (["chern", "z2chart", "--u", "0", "--max-degree", "4"],
+     "30ff2bedbd035ad161c2120427fac9331bcee14b557218866597c48102f184f1"),
+    (["verify", "--suite", "module", "--fixture", "z2chart", "--trials", "20",
+      "--u", "0", "--u", "1/3", "--u", "1"],
+     "df252f3e16ca59298550d00ba68b4d7e684b54f4fdeb8322f1f4d66999cb6b49"),
 ]
 
 

@@ -5,19 +5,43 @@ import pytest
 from ncg.coefficients import GaussRat, GR_ONE, PolyFormCoeff
 from ncg.fixtures import load_fixture
 from ncg.forms import NCForm
+from ncg.groupoid import GroupoidError
 from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
-                         _basis_kernel, act_AB, apply_kernel, apply_kernel_sum,
+                         _basis_kernel, apply_kernel, apply_kernel_sum,
                          commutator_with_d, equivariance_residuals, kernel_mul,
                          linearity_constraint_columns, linearity_nullspace,
-                         omega_linearity_failures, operator_to_kernel, set_flags)
+                         omega_linearity_failures, operator_to_kernel, set_flags,
+                         translate_p, translate_q)
 from ncg.linalg import nullspace
-from ncg.modules import ConnectionData, ModuleForm, nabla01, vector_rep
+from ncg.modules import ModuleForm, nabla01, vector_rep
 from ncg.suites import random_raw_kernel, random_section, random_module_form
 
 
-def connection_for(fixture, key="rank2", u=Fraction(1)):
-    hor = fixture.horizontal[key] if fixture.horizontal else None
-    return ConnectionData(fixture.bundle(key), fixture.h, horizontal=hor, u=u)
+def act_AB(kernel, gamma, side):
+    """Translate every entry along gamma on the chosen fiber index.
+
+    side 'A' sends the entry at (p, slots, q) to (p.gamma, slots, q);
+    side 'B' sends it to (p, slots, q.gamma).  Raises if any entry is not
+    composable with gamma.
+    """
+    if side not in ("A", "B"):
+        raise KernelError(f"side must be 'A' or 'B', got {side!r}")
+    bundle = kernel.bundle
+    space = bundle.space
+    g = bundle.groupoid
+    out = {}
+    for (p, desc, q), mat in kernel.values.items():
+        if side == "A":
+            if space.moment[p] != g.tgt[gamma]:
+                raise GroupoidError(f"cannot A-translate {(p, desc, q)} along {gamma!r}")
+            out[(space.act(p, gamma), desc, q)] = translate_p(bundle, p, gamma, mat)
+        else:
+            if space.moment[q] != g.tgt[gamma]:
+                raise GroupoidError(f"cannot B-translate {(p, desc, q)} along {gamma!r}")
+            out[(p, desc, space.act(q, gamma))] = translate_q(bundle, q, gamma, mat)
+    result = SmoothingKernel(bundle, kernel.degree)
+    result.values = out
+    return result
 
 
 def brute_force_apply(kernel, section):
@@ -190,8 +214,8 @@ def test_flags_agree_with_sweep(name, rng):
     kernels = []
     for key in ("rank1", "rank2"):
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            kernels += curvature_kernels(connection_for(fx, key, u)).parts.values()
-        c = connection_for(fx, key)
+            kernels += curvature_kernels(fx.connection(key, u)).parts.values()
+        c = fx.connection(key)
         for slots in (0, 1, 2):
             sampler = KernelSampler(c.bundle, slots)
             k1, k2 = sampler.sample(rng), sampler.sample(rng)
@@ -266,7 +290,7 @@ def test_kernel_mul_associativity(fixture, rng):
 
 
 def test_commutator_with_d_scalar(scalar_fixture, rng):
-    c = connection_for(scalar_fixture)
+    c = scalar_fixture.connection()
     b = c.bundle
     sampler = KernelSampler(b, 1)
     if sampler.dimension == 0:
@@ -279,7 +303,7 @@ def test_commutator_with_d_scalar(scalar_fixture, rng):
 
 
 def test_commutator_with_delta_kernel(fixture, rng):
-    c = connection_for(fixture)
+    c = fixture.connection()
     delta = SmoothingKernel.delta(c.bundle)
     out = commutator_with_d(c, delta)
     # [D, identity] = 0: operator asserted inside; entries must cancel
@@ -288,7 +312,7 @@ def test_commutator_with_delta_kernel(fixture, rng):
 
 
 def test_commutator_zero_kernel(fixture):
-    c = connection_for(fixture)
+    c = fixture.connection()
     zero = SmoothingKernel.zero(c.bundle, 1)
     out = commutator_with_d(c, zero)
     assert out.is_zero()
@@ -296,7 +320,7 @@ def test_commutator_zero_kernel(fixture):
 
 def test_commutator_chart_includes_horizontal(rng):
     fx = load_fixture("z2chart")
-    c = connection_for(fx, "rank1")
+    c = fx.connection("rank1")
     sampler = KernelSampler(c.bundle, 1)
     K = sampler.sample(rng)
     out = commutator_with_d(c, K)
@@ -305,7 +329,7 @@ def test_commutator_chart_includes_horizontal(rng):
 
 def test_operator_to_kernel_identity(fixture):
     b = fixture.bundle("rank2")
-    kernel = operator_to_kernel(lambda F: F, b, 0)
+    kernel = operator_to_kernel(lambda F: F, b).component(0)
     assert kernel == SmoothingKernel.delta(b)
 
 
@@ -314,7 +338,7 @@ def test_operator_to_kernel_squared_nabla(scalar_fixture):
     b = fx.bundle("rank2")
     def op(F):
         return nabla01(nabla01(F, fx.h), fx.h)
-    kernel = operator_to_kernel(op, b, 2)
+    kernel = operator_to_kernel(op, b).component(2)
     for F in ModuleForm.basis(b, 0):
         assert apply_kernel(kernel, F) == op(F)
 
@@ -327,12 +351,12 @@ def test_operator_to_kernel_rejects_nabla(fixture):
     def op(F):
         return nabla01(F, fx.h)
     with pytest.raises(KernelError):
-        operator_to_kernel(op, b, 1)
+        operator_to_kernel(op, b)
 
 
 def test_mixed_degree_kernel_split(rng):
     fx = load_fixture("z2chart")
-    c = connection_for(fx, "rank2", Fraction(1, 2))
+    c = fx.connection("rank2", Fraction(1, 2))
     from ncg.chern import curvature_kernels
     curv = curvature_kernels(c)
     from ncg.kernels import kernel_split_by_form_degree
