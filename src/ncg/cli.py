@@ -43,8 +43,16 @@ def _emit(payload, output=None):
     print(text)
 
 
+def _fraction(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"interpolation parameter {text!r} has a zero "
+                         "denominator") from None
+
+
 def _fractions(values):
-    return [Fraction(v) for v in values]
+    return [_fraction(v) for v in values]
 
 
 def cmd_validate(args) -> int:
@@ -157,10 +165,10 @@ def cmd_verify(args) -> int:
 
 def cmd_chern(args) -> int:
     fixture = load_manifest(args.manifest)
-    u = Fraction(args.u)
+    u = _fraction(args.u)
+    reducers = chern_reducers(fixture.groupoid, args.max_degree)
     components = chern_form(fixture.connection(u=u), args.max_degree)
-    verdicts = verify_closedness(components,
-                                 chern_reducers(fixture.groupoid, args.max_degree),
+    verdicts = verify_closedness(components, reducers,
                                  lambda d: f"closedness-degree-{d}-u-{u}")
     payload = {
         "fixture": fixture.name,

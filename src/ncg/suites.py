@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bisections import (Bisection, decompose, germ_pullback, is_bisection,
                          one_u, reassemble)
@@ -127,8 +127,12 @@ class Recorder:
             case["residue"] = residue if residue is not None else detail
         self.cases.append(case)
 
-    def record_verdict(self, verdict: Verdict):
-        self.cases.append({"name": verdict.name, **verdict.payload()})
+    def record_verdict(self, verdict: Verdict,
+                       names: Optional[Sequence[str]] = None):
+        """Record the verdict under its own name, or under each of names
+        (one check shared by several cases, each with its own payload)."""
+        for name in (verdict.name,) if names is None else names:
+            self.cases.append({"name": name, **verdict.payload()})
 
     def law(self, name: str, trials: int, check: Callable[[random.Random, int], Optional[dict]],
             seed: int, suite: str):
@@ -490,6 +494,8 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
 
 def chern_reducers(groupoid, max_degree: int) -> Dict[int, AbReducer]:
     """The reducer for each d(component) degree 2j + 1 up to max_degree + 1."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be at least 0, got {max_degree}")
     return {2 * j + 1: AbReducer(groupoid, 2 * j + 1)
             for j in range(max_degree // 2 + 1)}
 
@@ -520,12 +526,13 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
         K = sampler.sample(derive_rng(seed, "theorem", "sample", trial))
         kernels.append(K)
 
-    for u in u_values:
-        c = fixture.connection(bundle_key, u)
-        for trial, K in enumerate(kernels):
-            verdict = verify_theorem(c, K, reducer_at(K.degree + 1),
-                                     name=f"theorem-k{trial:03d}-u-{u}")
-            rec.record_verdict(verdict)
+    # the identity reads h and D, never D(u): one check per kernel, recorded
+    # under every u
+    c = fixture.connection(bundle_key)
+    for trial, K in enumerate(kernels):
+        name = f"theorem-k{trial:03d}"
+        verdict = verify_theorem(c, K, reducer_at(K.degree + 1), name=name)
+        rec.record_verdict(verdict, [f"{name}-u-{u}" for u in u_values])
 
     # the trace property
     pair_reducer = reducer_at(2 * sampler.slots)
@@ -549,6 +556,21 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
     return rec.report("theorem", fixture.name)
 
 
+def _by_operator(connections) -> List[Tuple[ConnectionData, List[Fraction]]]:
+    """Group connections by the matrices of D(u), in first-seen order: one
+    connection and every u that gives its operator (all u on scalar
+    models, where D(u) has no matrices)."""
+    groups: List[Tuple[ConnectionData, List[Fraction]]] = []
+    for c in connections:
+        for first, us in groups:
+            if first.horizontal_u == c.horizontal_u:
+                us.append(c.u)
+                break
+        else:
+            groups.append((c, [c.u]))
+    return groups
+
+
 def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
               max_degree: int = 4, u_values: Sequence[Fraction] = U_DEFAULT,
               **_) -> dict:
@@ -558,12 +580,14 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
     reducers = chern_reducers(g, max_degree)
 
     for bundle_key in _bundle_keys(fixture):
-        for u in u_values:
-            components = chern_form(fixture.connection(bundle_key, u), max_degree)
+        for c, shared in _by_operator(fixture.connection(bundle_key, u)
+                                      for u in u_values):
+            components = chern_form(c, max_degree)
             for verdict in verify_closedness(
                     components, reducers,
-                    lambda d: f"{bundle_key}-closedness-degree-{d}-u-{u}"):
-                rec.record_verdict(verdict)
+                    lambda d: f"{bundle_key}-closedness-degree-{d}"):
+                rec.record_verdict(verdict,
+                                   [f"{verdict.name}-u-{u}" for u in shared])
 
     # the unit-space bundle Chern character
     us = unit_space(g)
@@ -603,5 +627,7 @@ def run_suite(name: str, fixture: Fixture, seed: int = 0,
         raise KeyError(f"unknown suite {name!r}")
     kwargs = {"seed": seed, "max_degree": max_degree, "u_values": u_values}
     if trials is not None:
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
         kwargs["trials"] = trials
     return SUITES[name](fixture, **kwargs)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -382,8 +383,59 @@ def test_cmd_chern_builds_curvature_once(monkeypatch, capsys):
 def test_chern_suite_builds_curvature_once_per_connection(monkeypatch, capsys):
     calls = count_curvature_builds(monkeypatch)
     assert main(["verify", "--suite", "chern", "--fixture", "z3"]) == 0
-    # rank1 and rank2 at three values of u, then the unit-space bundle
+    # rank1 and rank2 once each (on a scalar model D(u) is the same operator
+    # at every u), then the unit-space bundle
+    assert len(calls) == 3
+
+
+def test_chart_chern_suite_builds_curvature_once_per_u(monkeypatch, capsys):
+    fx = load_fixture("z2chart")
+    us = (Fraction(0), Fraction(1, 2), Fraction(1))
+    for key in ("rank1", "rank2"):
+        matrices = [fx.connection(key, u).horizontal_u for u in us]
+        assert all(a != b for a, b in zip(matrices, matrices[1:]))
+    calls = count_curvature_builds(monkeypatch)
+    assert main(["verify", "--suite", "chern", "--fixture", "z2chart"]) == 0
+    # the D(u) matrices A, 0 and -A differ: rank1 and rank2 at three values
+    # of u, then the unit-space bundle
     assert len(calls) == 7
+    assert [c.u for c in calls[:3]] == list(us)
+
+
+def test_theorem_suite_checks_each_kernel_once(monkeypatch, capsys):
+    calls = []
+    commutator = commutator_with_d
+
+    def counted(connection, kernel):
+        calls.append(kernel)
+        return commutator(connection, kernel)
+
+    monkeypatch.setattr("ncg.chern.commutator_with_d", counted)
+    assert main(["verify", "--suite", "theorem", "--fixture", "z3",
+                 "--trials", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 4
+    assert sum(c["name"].startswith("theorem-k") for c in report["cases"]) == 12
+
+
+def test_theorem_verdict_is_independent_of_u():
+    """The identity reads D, not D(u): on z2chart, where the D(u) matrices
+    differ for each u, every kernel's verdict is the same at every u.  The
+    theorem suite checks each kernel once on this ground."""
+    fx = load_fixture("z2chart")
+    key = "rank2"
+    us = (Fraction(0), Fraction(1, 3), Fraction(1))
+    connections = [fx.connection(key, u) for u in us]
+    assert connections[0].horizontal_u != connections[1].horizontal_u
+    assert connections[1].horizontal_u != connections[2].horizontal_u
+    sampler = KernelSampler(fx.bundle(key), 1)
+    reducer = AbReducer(fx.groupoid, 2)
+    for trial in range(3):
+        K = sampler.sample(derive_rng(0, "theorem-u", trial))
+        payloads = [verify_theorem(c, K, reducer).payload()
+                    for c in connections]
+        assert payloads[0]["certificate"]
+        assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
 
 
 def test_curvature_kernels_evaluate_once_per_basis_form(monkeypatch):

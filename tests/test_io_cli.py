@@ -316,6 +316,28 @@ def test_cli_malformed_kernel_exits_2(tmp_path, capsys):
     assert "wrong slot count" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chern", "z3", "--u", "1/0"], "zero denominator"),
+    (["verify", "--suite", "chern", "--fixture", "z3", "--u", "1/0"],
+     "zero denominator"),
+    (["verify", "--suite", "chern", "--fixture", "z3", "--max-degree", "-1"],
+     "max degree must be at least 0, got -1"),
+    (["chern", "z3", "--max-degree", "-1"],
+     "max degree must be at least 0, got -1"),
+    (["verify", "--suite", "theorem", "--fixture", "z3", "--trials", "0"],
+     "trials must be at least 1, got 0"),
+    (["verify", "--suite", "theorem", "--fixture", "z3", "--trials", "-2"],
+     "trials must be at least 1, got -2"),
+])
+def test_cli_rejects_out_of_range_input(capsys, argv, message):
+    # malformed input exits 2 with a message, neither a traceback nor a
+    # PASS over nothing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "chern", "--fixture", "z3", "--max-degree", "2"],
     ["verify", "--suite", "theorem", "--fixture", "pair2", "--trials", "3"],
@@ -385,6 +407,14 @@ GOLDEN_REPORTS = [
     (["verify", "--suite", "module", "--fixture", "z2chart", "--trials", "20",
       "--u", "0", "--u", "1/3", "--u", "1"],
      "df252f3e16ca59298550d00ba68b4d7e684b54f4fdeb8322f1f4d66999cb6b49"),
+    (["verify", "--suite", "theorem", "--fixture", "z3", "--trials", "4"],
+     "5bb11fd9ed2ad3f33b3daf17e2975fb9c251d0fa3c6175557f74c1ff5f241d33"),
+    (["verify", "--suite", "theorem", "--fixture", "z2chart", "--trials", "3",
+      "--u", "0", "--u", "1/3", "--u", "1"],
+     "cf071f7f1b8199d7bb4f37dab1a2722ffe0a7c97ca2a68dc8adfb67b5f99780b"),
+    (["verify", "--suite", "chern", "--fixture", "pair2",
+      "--u", "0", "--u", "1/3", "--u", "1"],
+     "646549c35ce735c2d4f787a463f5bf2a46f6d2367ae9de17540c6a4bebd3a311"),
 ]
 
 
