@@ -21,7 +21,7 @@ from .coefficients import GaussRat, mat_mul
 from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import PartitionFunction
 from .kernels import (KernelError, SmoothingKernel, VerificationError,
-                      _mat_conv, commutator_with_d, kernel_mul, kernel_sum_mul,
+                      commutator_with_d, kernel_mul, kernel_sum_mul,
                       operator_to_kernel, set_flags, translate_p)
 from .modules import ConnectionData
 
@@ -147,6 +147,8 @@ def _curvature_series(connection: ConnectionData, max_degree: int,
     kernels of total degree 2j, for 2j up to max_degree; the series
     terminates because every curvature component has positive total
     degree."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be at least 0, got {max_degree}")
     bundle = connection.bundle
     power = GradedSum(SmoothingKernel, bundle, [SmoothingKernel.delta(bundle)])
     terms = [power]
@@ -277,13 +279,8 @@ def pointwise_trace(kernel: SmoothingKernel) -> NCForm:
     values: Dict[tuple, object] = {}
     for (P, desc, q), mat in kernel.values.items():
         chain = tuple(reversed(desc))
-        if chain:
-            g0 = g.inv(g.compose_word(chain))
-            closing = _mat_conv(bundle, bundle.act_matrix(P, g0))
-            closed = mat_mul(closing, mat)
-        else:
-            g0 = g.unit[bundle.space.moment[P]]
-            closed = mat
+        g0 = g.inv(g.compose_word(chain)) if chain else g.unit[bundle.space.moment[P]]
+        closed = mat_mul(bundle.act_matrix(P, g0), mat)
         NCForm.put(values, (g0,) + chain, _traced(bundle, closed, graded=False))
     return NCForm(g, kernel.degree, values)
 

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bisections import bisection_basis, decompose
+from .bisections import bisection_basis, decompose, reassemble
 from .chern import VerificationError, chern_form, verify_closedness
 from .coefficients import CoefficientError
 from .forms import FormError
@@ -98,12 +98,7 @@ def cmd_bisect(args) -> int:
                 entry["pairs"] = sorted(list(p) for p in item[3].pairs)
             certificate.append(entry)
         payload["decomposition"] = certificate
-        payload["reconstructs"] = True  # reassembly is checked below
-        total = None
-        for item in pieces:
-            total = item[0] if total is None else total + item[0]
-        if (total if total is not None else form) != form and pieces:
-            payload["reconstructs"] = False
+        payload["reconstructs"] = reassemble(pieces, g, form.degree) == form
     _emit(payload)
     if payload.get("reconstructs") is False:
         return 1

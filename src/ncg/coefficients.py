@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add
+from operator import add, neg
 from typing import Iterable, Mapping, Sequence, Tuple
 
 
@@ -135,7 +135,7 @@ class GaussRat:
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "GaussRat":
-        return self * _coerce(scalar)
+        return self * (scalar if type(scalar) is GaussRat else _coerce(scalar))
 
     def inverse(self) -> "GaussRat":
         n = self.a * self.a + self.b * self.b
@@ -619,11 +619,80 @@ SCALAR_MODEL = CoefficientModel("scalar")
 
 
 # ---------------------------------------------------------------------------
-# Small exact-matrix helpers over GaussRat
+# Small exact-matrix helpers: fiber vectors and matrices
 # ---------------------------------------------------------------------------
+#
+# A fiber vector is a tuple of coefficients (GaussRat or PolyFormCoeff); a
+# matrix is a tuple of such rows.  Each matrix helper is its vector helper
+# mapped over the rows.
 
-def identity_matrix(n: int):
-    return tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
+def vec_add(u, v):
+    return tuple(map(add, u, v))
+
+
+def vec_neg(u):
+    return tuple(map(neg, u))
+
+
+def vec_scale(u, scalar):
+    """Multiply every entry by a Gaussian-rational scalar."""
+    return tuple(c.scale(scalar) for c in u)
+
+
+def vec_is_zero(u) -> bool:
+    return not any(u)
+
+
+def vec_twist(u, parity: int):
+    """Each entry's terms of form degree m times (-1)^(m*parity)."""
+    if parity % 2 == 0:
+        return u
+    return tuple(c.scale_by_form_degree(1) for c in u)
+
+
+def vec_transport(groupoid, u, word):
+    """Re-express every entry in the chart at the far end of word."""
+    if groupoid.model.kind == "scalar" or not word:
+        return u
+    return tuple(groupoid.transport(c, word) for c in u)
+
+
+def mat_add(a, b):
+    return tuple(map(vec_add, a, b))
+
+
+def mat_neg(m):
+    return tuple(map(vec_neg, m))
+
+
+def mat_scale(m, scalar):
+    return tuple(vec_scale(row, scalar) for row in m)
+
+
+def mat_is_zero(m) -> bool:
+    return all(map(vec_is_zero, m))
+
+
+def mat_twist(m, parity: int):
+    if parity % 2 == 0:
+        return m
+    return tuple(vec_twist(row, 1) for row in m)
+
+
+def mat_transport(groupoid, m, word):
+    if groupoid.model.kind == "scalar" or not word:
+        return m
+    return tuple(vec_transport(groupoid, row, word) for row in m)
+
+
+def identity_matrix(n: int, model: CoefficientModel = SCALAR_MODEL):
+    one, zero = model.one(), model.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def zero_matrix(n: int, model: CoefficientModel = SCALAR_MODEL):
+    return ((model.zero(),) * n,) * n
+
 
 def _dot(row, vec):
     acc = None
@@ -633,8 +702,13 @@ def _dot(row, vec):
     return acc
 
 
+def mat_vec(m, v):
+    """Matrix times column vector; the entries may mix GaussRat and
+    PolyFormCoeff (a GaussRat action matrix against chart coefficients)."""
+    return tuple(_dot(row, v) for row in m)
+
+
 def mat_mul(a, b):
-    """Product of rectangular matrices with GaussRat or PolyFormCoeff
-    entries (the entries of one product share a model)."""
+    """Product of rectangular matrices, entries mixed as in ``mat_vec``."""
     cols = tuple(zip(*b))
     return tuple(tuple(_dot(row, col) for col in cols) for row in a)

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .coefficients import (CoefficientModel, GaussRat, GR_ONE, GR_ZERO,
-                           PolyFormCoeff, identity_matrix, mat_mul)
+                           PolyFormCoeff, identity_matrix, mat_add, mat_mul,
+                           mat_scale, zero_matrix)
 from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidSpec,
                        PartitionFunction, canonical_h, right_regular_space,
                        transformation_groupoid, trivial_bundle,
@@ -143,14 +144,11 @@ def _z3_rotation_bundle(space: FiberedSpace) -> EquivariantBundle:
     for p in space.points:
         for a in g.target_fiber(space.moment[p]):
             action[(p, a)] = powers[a if a in powers else a.split("|")[-1]]
-    metric_sum = None
-    third = GaussRat(1, 0, 3)
+    metric_sum = zero_matrix(2)
     for mat in powers.values():
-        mstar = tuple(tuple(mat[j][i].conj() for j in range(2)) for i in range(2))
-        term = mat_mul(mstar, mat)
-        metric_sum = term if metric_sum is None else tuple(
-            tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(metric_sum, term))
-    metric = tuple(tuple(v * third for v in row) for row in metric_sum)
+        mstar = tuple(tuple(v.conj() for v in col) for col in zip(*mat))
+        metric_sum = mat_add(metric_sum, mat_mul(mstar, mat))
+    metric = mat_scale(metric_sum, GaussRat(1, 0, 3))
     bundle = EquivariantBundle(space, 2, action,
                                metric={p: metric for p in space.points},
                                name="rank2-rotation")

@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .coefficients import (CoefficientModel, GaussRat, GR_ONE, GR_ZERO,
-                           SCALAR_MODEL, identity_matrix, mat_mul)
-from .linalg import is_positive_definite_hermitian, mat_inverse, solve
+                           SCALAR_MODEL, identity_matrix, mat_mul, mat_vec,
+                           vec_transport)
+from .linalg import is_positive_definite_hermitian, solve
 
 
 class GroupoidError(ValueError):
@@ -468,7 +469,6 @@ class EquivariantBundle:
         self.metric = {p: tuple(tuple(v for v in row) for row in metric[p])
                        for p in space.points}
         self.grading = tuple(grading) if grading is not None else (1,) * rank
-        self._inverses: Dict[Tuple[str, str], tuple] = {}
 
     def act_matrix(self, p: str, arrow: str):
         """Matrix of e -> e.arrow from the fiber at p to the fiber at p.arrow."""
@@ -477,11 +477,11 @@ class EquivariantBundle:
         except KeyError:
             raise GroupoidError(f"bundle action undefined on ({p!r}, {arrow!r})")
 
-    def act_matrix_inv(self, p: str, arrow: str):
-        key = (p, arrow)
-        if key not in self._inverses:
-            self._inverses[key] = mat_inverse(self.act_matrix(p, arrow))
-        return self._inverses[key]
+    def move(self, p: str, arrow: str, vec):
+        """Carry a fiber vector at p to p.arrow: re-express it in the chart
+        there, then apply the action matrix.  Moving back is the same rule at
+        (p.arrow, arrow^-1), the inverse by the unit and cocycle laws."""
+        return mat_vec(self.act_matrix(p, arrow), vec_transport(self.groupoid, vec, (arrow,)))
 
     def __repr__(self):
         return f"EquivariantBundle({self.name}: rank {self.rank} over {self.space.name})"
@@ -521,8 +521,7 @@ def validate_bundle(bundle: EquivariantBundle) -> ValidationReport:
                 if lhs != bundle.act_matrix(p, ab):
                     report.add(f"cocycle fails on ({p!r}, {a!r}, {b!r})")
             # metric invariance <e1 a, e2 a> = <e1, e2>:  A^* H_{pa} A == H_p
-            astar = tuple(tuple(mat[j][i].conj() for j in range(bundle.rank))
-                          for i in range(bundle.rank))
+            astar = tuple(tuple(v.conj() for v in col) for col in zip(*mat))
             if mat_mul(astar, mat_mul(bundle.metric[pa], mat)) != bundle.metric[p]:
                 report.add(f"metric not invariant along ({p!r}, {a!r})")
         if not is_positive_definite_hermitian(bundle.metric[p]):

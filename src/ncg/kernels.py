@@ -19,12 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .coefficients import GR_ONE, GR_ZERO, GaussRat, PolyFormCoeff, _dot, mat_mul
+from .coefficients import (GR_ONE, GaussRat, PolyFormCoeff, identity_matrix,
+                           mat_add, mat_is_zero, mat_mul, mat_neg, mat_scale,
+                           mat_transport, mat_twist, mat_vec, vec_neg, vec_scale,
+                           vec_transport, zero_matrix)
 from .forms import GradedSum, NCForm, SparseForm, _bounded_monomials
 from .groupoid import EquivariantBundle, FiberedSpace
 from .linalg import nullspace
-from .modules import (ConnectionData, ModuleForm, module_keys, vector_rep,
-                      _transport_vec, _vec_neg, _vec_scale)
+from .modules import ConnectionData, ModuleForm, module_keys, vector_rep
 
 
 class KernelError(ValueError):
@@ -59,41 +61,6 @@ def kernel_keys(space: FiberedSpace, slots: int) -> List[KernelKey]:
     return out
 
 
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def _mat_is_zero(m) -> bool:
-    return all(c.is_zero() for row in m for c in row)
-
-
-def _mat_neg(m):
-    return tuple(tuple(-c for c in row) for row in m)
-
-
-def _mat_scale(m, scalar):
-    return tuple(tuple(c.scale(scalar) if isinstance(c, PolyFormCoeff) else c * scalar
-                       for c in row) for row in m)
-
-
-def _mat_scale_form_degree(m, parity: int):
-    if parity % 2 == 0:
-        return m
-    return tuple(tuple(c.scale_by_form_degree(1) for c in row) for row in m)
-
-
-def _mat_transport(groupoid, m, word):
-    if groupoid.model.kind == "scalar" or not word:
-        return m
-    return tuple(tuple(groupoid.transport(c, word) for c in row) for row in m)
-
-
-def _mat_conv(bundle, m):
-    """Coerce a GaussRat matrix into the bundle's coefficient model."""
-    model = bundle.groupoid.model
-    return tuple(tuple(model.from_gauss(v) for v in row) for row in m)
-
-
 class SmoothingKernel(SparseForm):
     """A sparse k-slot kernel with optional verified linearity flags; its
     degree is the slot count."""
@@ -102,10 +69,10 @@ class SmoothingKernel(SparseForm):
 
     error = KernelError
 
-    _add = staticmethod(_mat_add)
-    _neg = staticmethod(_mat_neg)
-    _scale = staticmethod(_mat_scale)
-    _is_zero = staticmethod(_mat_is_zero)
+    _add = staticmethod(mat_add)
+    _neg = staticmethod(mat_neg)
+    _scale = staticmethod(mat_scale)
+    _is_zero = staticmethod(mat_is_zero)
 
     def __init__(self, bundle: EquivariantBundle, degree: int,
                  values: Optional[Mapping[KernelKey, Sequence[Sequence]]] = None,
@@ -168,23 +135,17 @@ class SmoothingKernel(SparseForm):
     @classmethod
     def delta(cls, bundle: EquivariantBundle) -> "SmoothingKernel":
         """The identity operator: diagonal matrices scaled by 1/measure."""
-        model = bundle.groupoid.model
-        values = {}
-        for p in bundle.space.points:
-            inv = GaussRat(Fraction(1, 1) / bundle.space.measure[p])
-            mat = tuple(tuple(model.from_gauss(inv if i == j else GR_ZERO)
-                              for j in range(bundle.rank))
-                        for i in range(bundle.rank))
-            values[(p, (), p)] = mat
+        one = identity_matrix(bundle.rank, bundle.groupoid.model)
+        measure = bundle.space.measure
+        values = {(p, (), p): mat_scale(one, GaussRat(measure[p]).inverse())
+                  for p in bundle.space.points}
         return cls(bundle, 0, values, equivariant=True, cocycle=True)
 
     # -- structure ----------------------------------------------------------------
 
     def matrix(self, key: KernelKey):
-        model = self.bundle.groupoid.model
-        zero = tuple(tuple(model.zero() for _ in range(self.bundle.rank))
-                     for _ in range(self.bundle.rank))
-        return self.values.get(key, zero)
+        bundle = self.bundle
+        return self.values.get(key, zero_matrix(bundle.rank, bundle.groupoid.model))
 
     def form_degrees(self) -> set:
         out = set()
@@ -204,19 +165,18 @@ class SmoothingKernel(SparseForm):
 # ---------------------------------------------------------------------------
 
 def translate_p(bundle: EquivariantBundle, p: str, gamma: str, mat):
-    """Move the p-index along gamma: left-multiply by the action matrix and
-    re-express chart coefficients at the translated point."""
-    g = bundle.groupoid
-    moved = _mat_transport(g, mat, (gamma,))
-    act = _mat_conv(bundle, bundle.act_matrix(p, gamma))
-    return mat_mul(act, moved)
+    """Move the p-index along gamma: ``EquivariantBundle.move`` applied to
+    every column, re-expressed in the chart at p.gamma."""
+    return mat_mul(bundle.act_matrix(p, gamma),
+                   mat_transport(bundle.groupoid, mat, (gamma,)))
 
 
 def translate_q(bundle: EquivariantBundle, q: str, gamma: str, mat):
-    """Move the q-index along gamma: right-multiply by the inverse action
-    matrix (the p-side chart is untouched)."""
-    act_inv = _mat_conv(bundle, bundle.act_matrix_inv(q, gamma))
-    return mat_mul(mat, act_inv)
+    """Move the q-index along gamma: right-multiply by the action matrix
+    back from q.gamma, the inverse of act_matrix(q, gamma); the p-side
+    chart is untouched."""
+    back = bundle.act_matrix(bundle.space.act(q, gamma), bundle.groupoid.inv(gamma))
+    return mat_mul(mat, back)
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +197,16 @@ def apply_kernel(kernel: SmoothingKernel, F: ModuleForm) -> ModuleForm:
     out: Dict[Tuple[str, tuple], tuple] = {}
     for (P, desc, qhat), mat in kernel.values.items():
         if chart:
-            mat = _mat_scale_form_degree(mat, l)
+            mat = mat_twist(mat, l)
         weight = weights[qhat]
         chain = tuple(reversed(desc))
         back = [g.inv(a) for a in reversed(chain)]
         for (qf, bs), vec in F.values.items():
             if space.act_word(qf, bs) != qhat:
                 continue
-            moved = _transport_vec(g, vec, chain) if chart else vec
-            value = tuple(_dot(mat[i], moved) for i in range(bundle.rank))
-            value = _vec_scale(value, weight)
+            value = vec_scale(mat_vec(mat, vec_transport(g, vec, chain)), weight)
             if negate_kl:
-                value = _vec_neg(value)
+                value = vec_neg(value)
             p = space.act_word(P, back + [g.inv(a) for a in reversed(bs)])
             ModuleForm.put(out, (p, bs + chain), value)
     result = ModuleForm(bundle, k + l)
@@ -269,17 +227,15 @@ def kernel_mul(k1: SmoothingKernel, k2: SmoothingKernel) -> SmoothingKernel:
     out: Dict[KernelKey, tuple] = {}
     for (p, desc1, mid), m1 in k1.values.items():
         if chart:
-            m1 = _mat_scale_form_degree(m1, k2.degree)
+            m1 = mat_twist(m1, k2.degree)
         weight = weights[mid]
         word1 = tuple(reversed(desc1))
         for (mid2, desc2, q), m2 in k2.values.items():
             if mid2 != mid:
                 continue
-            moved = _mat_transport(g, m2, word1) if chart else m2
-            mat = mat_mul(m1, moved)
-            mat = _mat_scale(mat, weight)
+            mat = mat_scale(mat_mul(m1, mat_transport(g, m2, word1)), weight)
             if negate:
-                mat = _mat_neg(mat)
+                mat = mat_neg(mat)
             SmoothingKernel.put(out, (p, desc1 + desc2, q), mat)
     result = SmoothingKernel(bundle, k1.degree + k2.degree)
     result.values = out
@@ -345,7 +301,7 @@ def equivariance_residuals(kernel: SmoothingKernel):
 
     Write a key as (P, desc, q) with desc = (w_k, ..., w_1), so w_1 is the
     slot next to q.  T(q, gamma, M) is ``translate_q`` and B(P, c, M) =
-    act_inv(P, c) . transport(M, c^-1) pulls an entry at P.c back to P.
+    ``translate_p`` at (P.c, c^-1) moves an entry at P.c back to P.
     Expanding K(delta_gamma . F) = delta_gamma . K(F) on delta sections
     with the terms of ``vector_rep`` gives, for k >= 1:
 
@@ -379,16 +335,15 @@ def equivariance_residuals(kernel: SmoothingKernel):
     def B(P, c, mat):
         if mat is None:
             return None
-        act = _mat_conv(bundle, bundle.act_matrix_inv(P, c))
-        return mat_mul(act, _mat_transport(g, mat, (g.inv(c),)))
+        return translate_p(bundle, space.act(P, c), g.inv(c), mat)
 
     def settle(out, witness, terms):
         total = None
         for sign, mat in terms:
             if mat is not None:
-                mat = mat if sign > 0 else _mat_neg(mat)
-                total = mat if total is None else _mat_add(total, mat)
-        if total is not None and not _mat_is_zero(total):
+                mat = mat if sign > 0 else mat_neg(mat)
+                total = mat if total is None else mat_add(total, mat)
+        if total is not None and not mat_is_zero(total):
             out[witness] = total
 
     for key in kernel_keys(space, k):
@@ -498,8 +453,7 @@ def kernel_from_coordinates(bundle, slots, coords: Mapping[tuple, GaussRat]):
     entries: Dict[KernelKey, list] = {}
     for (key, i, j, term), value in coords.items():
         mat = entries.setdefault(
-            key, [[model.zero() for _ in range(bundle.rank)]
-                  for _ in range(bundle.rank)])
+            key, [list(row) for row in zero_matrix(bundle.rank, model)])
         if term is None:
             mat[i][j] = mat[i][j] + model.from_gauss(value)
         else:
@@ -508,7 +462,7 @@ def kernel_from_coordinates(bundle, slots, coords: Mapping[tuple, GaussRat]):
     out = SmoothingKernel(bundle, slots)
     out.values = {k: tuple(tuple(row) for row in m)
                   for k, m in entries.items()
-                  if not _mat_is_zero(m)}
+                  if not mat_is_zero(m)}
     return out
 
 
@@ -586,8 +540,7 @@ def operator_to_kernel(op: Callable, bundle: EquivariantBundle) -> GradedSum:
                     P = space.act_word(p, word)
                     mat = mats.setdefault(
                         (P, tuple(reversed(word)), qhat),
-                        [[model.zero() for _ in range(bundle.rank)]
-                         for _ in range(bundle.rank)])
+                        [list(row) for row in zero_matrix(bundle.rank, model)])
                     for i in range(bundle.rank):
                         mat[i][j] = mat[i][j] + vec[i].scale(inv_measure)
     kernels = GradedSum(SmoothingKernel, bundle, [
@@ -648,10 +601,9 @@ def commutator_with_d(connection: ConnectionData,
                 continue
             new_p = space.act(P, gamma)
             weight = GaussRat(connection.h(new_p))
-            moved = translate_p(bundle, P, gamma, mat)
-            moved = _mat_scale(moved, weight)
+            moved = mat_scale(translate_p(bundle, P, gamma, mat), weight)
             if sign_k < 0:
-                moved = _mat_neg(moved)
+                moved = mat_neg(moved)
             put(nabla_entries, (new_p, (gamma,) + desc, q), moved)
         # new slot at the q-adjacent end
         for gamma in g.source_fiber(space.moment[q]):
@@ -659,11 +611,8 @@ def commutator_with_d(connection: ConnectionData,
                 continue
             new_q = space.act(q, g.inv(gamma))
             weight = GaussRat(connection.h(q))
-            moved = translate_q(bundle, q, g.inv(gamma), mat)
-            moved = _mat_scale(moved, weight)
-            if chart:
-                moved = _mat_scale_form_degree(moved, 1)
-            put(nabla_entries, (P, desc + (gamma,), new_q), _mat_neg(moved))
+            moved = mat_scale(translate_q(bundle, q, g.inv(gamma), mat), weight)
+            put(nabla_entries, (P, desc + (gamma,), new_q), mat_neg(moved))
 
     nabla_part = SmoothingKernel(bundle, k + 1)
     nabla_part.values = nabla_entries
@@ -675,12 +624,12 @@ def commutator_with_d(connection: ConnectionData,
         for (P, desc, q), mat in kernel.values.items():
             total = tuple(tuple(c.exterior_d() for c in row) for row in mat)
             if amats is not None:
-                a_q = _mat_transport(g, amats[q], tuple(reversed(desc)))
+                a_q = mat_transport(g, amats[q], tuple(reversed(desc)))
                 left = mat_mul(amats[P], mat)
-                right = mat_mul(_mat_scale_form_degree(mat, 1), a_q)
-                total = _mat_add(total, _mat_add(left, _mat_neg(right)))
+                right = mat_mul(mat_twist(mat, 1), a_q)
+                total = mat_add(total, mat_add(left, mat_neg(right)))
             if sign_k < 0:
-                total = _mat_neg(total)
+                total = mat_neg(total)
             put(hor_entries, (P, desc, q), total)
         hor_part = SmoothingKernel(bundle, k)
         hor_part.values = hor_entries
@@ -696,45 +645,15 @@ def commutator_with_d(connection: ConnectionData,
 
 
 def _assert_commutator(connection, kernel, result):
-    """Operator identity [D, K] F = D(KF) - (-1)^{|K|} K(DF) on the basis,
-    graded by the total degree (slots plus form degree) per homogeneous
-    piece of the kernel."""
+    """Operator identity [D, K] F = D(KF) - (-1)^k K~(DF) on the basis,
+    graded by the total degree: K~ is K with each entry term of form
+    degree m multiplied by (-1)^m."""
     bundle = kernel.bundle
-    pieces = kernel_split_by_form_degree(kernel)
+    twisted = kernel._like({key: mat_twist(mat, 1) for key, mat in kernel.values.items()})
+    sign = GaussRat(1 if kernel.degree % 2 else -1)
     for F in ModuleForm.basis(bundle, 0):
-        rhs = GradedSum(ModuleForm, bundle)
-        dF = connection.apply_d(F)
-        for m, piece in pieces.items():
-            for part in connection.apply_d(apply_kernel(piece, F)).parts.values():
-                rhs.accumulate(part)
-            sign = GaussRat(1 if (kernel.degree + m) % 2 else -1)
-            for part in dF.parts.values():
-                rhs.accumulate(apply_kernel(piece, part).scale(sign))
+        rhs = connection.apply_d(apply_kernel(kernel, F))
+        for part in connection.apply_d(F).parts.values():
+            rhs.accumulate(apply_kernel(twisted, part).scale(sign))
         if apply_kernel_sum(result, F) != rhs:
             raise VerificationError("commutator kernel disagrees with the operator side")
-
-
-def kernel_split_by_form_degree(kernel: SmoothingKernel) -> Dict[int, SmoothingKernel]:
-    """Split chart-model entries into homogeneous de Rham degrees."""
-    model = kernel.bundle.groupoid.model
-    if model.kind == "scalar":
-        return {0: kernel}
-    buckets: Dict[int, Dict[KernelKey, list]] = {}
-    rank = kernel.bundle.rank
-    for key, mat in kernel.values.items():
-        for i in range(rank):
-            for j in range(rank):
-                for (exps, form), v in mat[i][j].terms.items():
-                    m = len(form)
-                    mats = buckets.setdefault(m, {})
-                    entry = mats.setdefault(
-                        key, [[model.zero() for _ in range(rank)] for _ in range(rank)])
-                    entry[i][j] = entry[i][j] + PolyFormCoeff.monomial(
-                        model.dim, exps, form, v)
-    out = {}
-    for m, entries in buckets.items():
-        kk = SmoothingKernel(kernel.bundle, kernel.degree)
-        kk.values = {k: tuple(tuple(row) for row in mmat)
-                     for k, mmat in entries.items()}
-        out[m] = kk
-    return out

@@ -15,7 +15,7 @@ from .coefficients import GR_ONE, GR_ZERO, GaussRat
 Vector = Dict[Hashable, GaussRat]
 
 
-def vec_add(a: Vector, b: Vector, scale: GaussRat = GR_ONE) -> Vector:
+def sparse_add(a: Vector, b: Vector, scale: GaussRat = GR_ONE) -> Vector:
     out = dict(a)
     for key, value in b.items():
         acc = out.get(key, GR_ZERO) + value * scale
@@ -26,7 +26,7 @@ def vec_add(a: Vector, b: Vector, scale: GaussRat = GR_ONE) -> Vector:
     return out
 
 
-def vec_scale(a: Vector, scale: GaussRat) -> Vector:
+def sparse_scale(a: Vector, scale: GaussRat) -> Vector:
     if scale.is_zero():
         return {}
     return {k: v * scale for k, v in a.items()}
@@ -91,7 +91,7 @@ class RowReducer:
         combo = self._combine(steps)
         col = min(residue, key=repr)  # deterministic across mixed key types
         inv = residue[col].inverse()
-        row = vec_scale(residue, inv)
+        row = sparse_scale(residue, inv)
         cert = {label: inv}
         for lab, c in combo.items():
             cert[lab] = cert.get(lab, GR_ZERO) - c * inv
@@ -124,7 +124,7 @@ def nullspace(rows: Iterable[Vector], columns: Sequence[Hashable]) -> List[Vecto
                 continue
             coeff = row.get(col)
             if coeff is not None and not coeff.is_zero():
-                pivots[other] = vec_add(row, prow, -coeff)
+                pivots[other] = sparse_add(row, prow, -coeff)
     pivot_rows = sorted(pivots.items(), key=lambda kv: order[kv[0]])
     pivot_cols = set(pivots)
     basis = []
@@ -140,6 +140,31 @@ def nullspace(rows: Iterable[Vector], columns: Sequence[Hashable]) -> List[Vecto
     return basis
 
 
+def _gauss_jordan(work: List[list], ncols: int,
+                  swap: bool = True) -> List[Tuple[int, GaussRat]]:
+    """Reduce the dense rows of work in place over the first ncols columns
+    to reduced row echelon form.  Returns (column, pivot before scaling)
+    per pivot, row i holding pivot i.  Without swap, a column whose entry
+    in the next pivot row is zero gets no pivot."""
+    pivots = []
+    for j in range(ncols):
+        piv = len(pivots)
+        end = len(work) if swap else min(piv + 1, len(work))
+        k = next((i for i in range(piv, end) if not work[i][j].is_zero()), None)
+        if k is None:
+            continue
+        work[piv], work[k] = work[k], work[piv]
+        pivot = work[piv][j]
+        inv = pivot.inverse()
+        work[piv] = [v * inv for v in work[piv]]
+        for i, row in enumerate(work):
+            f = row[j]
+            if i != piv and not f.is_zero():
+                work[i] = [a - f * b for a, b in zip(row, work[piv])]
+        pivots.append((j, pivot))
+    return pivots
+
+
 def solve(rows: Sequence[Vector], rhs: Sequence[GaussRat], columns: Sequence[Hashable]):
     """One exact solution of rows . x = rhs, or None if inconsistent.
 
@@ -148,28 +173,12 @@ def solve(rows: Sequence[Vector], rhs: Sequence[GaussRat], columns: Sequence[Has
     """
     cols = list(columns)
     dense = [[row.get(c, GR_ZERO) for c in cols] + [rhs[i]] for i, row in enumerate(rows)]
-    m, n = len(dense), len(cols)
-    piv = 0
-    where = []
-    for j in range(n):
-        k = next((i for i in range(piv, m) if not dense[i][j].is_zero()), None)
-        if k is None:
-            continue
-        dense[piv], dense[k] = dense[k], dense[piv]
-        inv = dense[piv][j].inverse()
-        dense[piv] = [v * inv for v in dense[piv]]
-        for i in range(m):
-            if i != piv and not dense[i][j].is_zero():
-                f = dense[i][j]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[piv])]
-        where.append(j)
-        piv += 1
-    for i in range(piv, m):
-        if not dense[i][n].is_zero():
-            return None
+    pivots = _gauss_jordan(dense, len(cols))
+    if any(not row[-1].is_zero() for row in dense[len(pivots):]):
+        return None
     sol = {c: GR_ZERO for c in cols}
-    for r, j in enumerate(where):
-        sol[cols[j]] = dense[r][n]
+    for row, (j, _) in zip(dense, pivots):
+        sol[cols[j]] = row[-1]
     return sol
 
 
@@ -181,49 +190,19 @@ def mat_inverse(mat: Sequence[Sequence[GaussRat]]):
     n = len(mat)
     work = [list(row) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
             for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    if len(_gauss_jordan(work, n)) < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in work)
 
 
-def determinant(mat: Sequence[Sequence[GaussRat]]) -> GaussRat:
-    n = len(mat)
-    work = [list(row) for row in mat]
-    det = GR_ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return GR_ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for r in range(col + 1, n):
-            if not work[r][col].is_zero():
-                f = work[r][col] * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
-
-
 def is_positive_definite_hermitian(mat: Sequence[Sequence[GaussRat]]) -> bool:
-    """Hermitian check plus positivity of all leading principal minors."""
+    """Hermitian, and elimination without row swaps meets a positive real
+    pivot in every column: the k-th pivot is the ratio of the k-th and
+    (k-1)-th leading principal minors, so this is Sylvester's criterion."""
     n = len(mat)
     for i in range(n):
         for j in range(n):
             if mat[i][j] != mat[j][i].conj():
                 return False
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in mat[:k]])
-        if minor.imag != 0 or minor.real <= 0:
-            return False
-    return True
+    pivots = _gauss_jordan([list(row) for row in mat], n, swap=False)
+    return len(pivots) == n and all(p.imag == 0 and p.real > 0 for _, p in pivots)

@@ -21,33 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .coefficients import GaussRat, _dot, mat_mul
+from .coefficients import (GaussRat, mat_add, mat_mul, mat_scale, mat_vec,
+                           vec_add, vec_is_zero, vec_neg, vec_scale)
 from .forms import FormError, GradedSum, NCForm, SparseForm
 from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidError,
                        PartitionFunction, ValidationReport)
 from .linalg import mat_inverse
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_neg(u):
-    return tuple(-c for c in u)
-
-
-def _vec_scale(u, scalar):
-    return tuple(c.scale(scalar) for c in u)
-
-
-def _vec_is_zero(u) -> bool:
-    return all(c.is_zero() for c in u)
-
-
-def _transport_vec(groupoid, vec, word):
-    if groupoid.model.kind == "scalar" or not word:
-        return vec
-    return tuple(groupoid.transport(c, word) for c in vec)
 
 
 class ModuleForm(SparseForm):
@@ -55,10 +34,10 @@ class ModuleForm(SparseForm):
 
     __slots__ = ()
 
-    _add = staticmethod(_vec_add)
-    _neg = staticmethod(_vec_neg)
-    _scale = staticmethod(_vec_scale)
-    _is_zero = staticmethod(_vec_is_zero)
+    _add = staticmethod(vec_add)
+    _neg = staticmethod(vec_neg)
+    _scale = staticmethod(vec_scale)
+    _is_zero = staticmethod(vec_is_zero)
 
     def __init__(self, bundle: EquivariantBundle, degree: int,
                  values: Optional[Mapping[Tuple[str, tuple], Sequence]] = None):
@@ -107,8 +86,7 @@ class ModuleForm(SparseForm):
 
     def value(self, p: str, word: Sequence[str]):
         model = self.bundle.groupoid.model
-        zero = tuple(model.zero() for _ in range(self.bundle.rank))
-        return self.values.get((p, tuple(word)), zero)
+        return self.values.get((p, tuple(word)), (model.zero(),) * self.bundle.rank)
 
     def endpoint(self, key) -> str:
         p, word = key
@@ -157,7 +135,7 @@ def vector_rep(omega: NCForm, F: ModuleForm) -> ModuleForm:
 
     def put(p, word, vec, negate):
         if not any(g.is_unit(a) for a in word):
-            ModuleForm.put(out, (p, word), _vec_neg(vec) if negate else vec)
+            ModuleForm.put(out, (p, word), vec_neg(vec) if negate else vec)
 
     for (q, bs), value in F.values.items():
         vp = space.act_word(q, bs)  # the fiber point where the value lives
@@ -169,7 +147,7 @@ def vector_rep(omega: NCForm, F: ModuleForm) -> ModuleForm:
             if chart:
                 coeff = g.transport(coeff, bs).scale_by_form_degree(l)
             wedge = tuple(coeff * v for v in value)
-            if _vec_is_zero(wedge):
+            if vec_is_zero(wedge):
                 continue
             base = space.act_word(q, [g.inv(a) for a in reversed(t)])
             # merges inside the form tuple: positions (i, i+1), sign (-1)^i
@@ -186,21 +164,16 @@ def vector_rep(omega: NCForm, F: ModuleForm) -> ModuleForm:
                     m = g.mul(bs[r - 1], bs[r])
                     word = t + bs[:r - 1] + (m,) + bs[r + 1:]
                     put(base, word, wedge, (k + r) % 2 == 1)
-            # boundary: last arrow of the concatenation summed freely
+            # boundary: last arrow of the concatenation summed freely; the
+            # value moves back from vp along it
             full = t + bs
             gamma = full[-1]
-            lead = full[:-1]
-            back = bundle.act_matrix_inv(space.act_word(base, lead), gamma)
-            vec = value
+            coeff_b = c
             if chart:
                 coeff_b = g.transport(c, bs[:-1] if l >= 1 else (g.inv(gamma),))
                 coeff_b = coeff_b.scale_by_form_degree(l)
-                vec = _transport_vec(g, value, (g.inv(gamma),))
-                wedge_b = tuple(coeff_b * v for v in vec)
-            else:
-                wedge_b = wedge
-            moved = tuple(_dot(back[i], wedge_b) for i in range(bundle.rank))
-            put(base, lead, moved, (k + l) % 2 == 1)
+            moved = bundle.move(vp, g.inv(gamma), value)
+            put(base, full[:-1], tuple(coeff_b * v for v in moved), (k + l) % 2 == 1)
 
     result = ModuleForm(bundle, k + l)
     result.values = out
@@ -230,14 +203,12 @@ def inner_product(u1: ModuleForm, u2: ModuleForm) -> NCForm:
     for arrow in g.arrows:
         total = None
         for p in space.fiber(g.tgt[arrow]):
+            pa = space.act(p, arrow)
             v1 = u1.values.get((p, ()))
-            v2 = u2.values.get((space.act(p, arrow), ()))
+            v2 = u2.values.get((pa, ()))
             if v1 is None or v2 is None:
                 continue
-            back = bundle.act_matrix_inv(p, arrow)
-            if chart:
-                v2 = _transport_vec(g, v2, (g.inv(arrow),))
-            moved = tuple(_dot(back[i], v2) for i in range(bundle.rank))
+            moved = bundle.move(pa, g.inv(arrow), v2)
             h = bundle.metric[p]
             term = None
             for i in range(bundle.rank):
@@ -263,7 +234,6 @@ def nabla01(F: ModuleForm, h: PartitionFunction) -> ModuleForm:
     bundle = F.bundle
     g = bundle.groupoid
     space = bundle.space
-    chart = g.model.kind == "chart"
     negate = F.degree % 2 == 1
     out: Dict[Tuple[str, tuple], tuple] = {}
     for (p, word), vec in F.values.items():
@@ -272,14 +242,9 @@ def nabla01(F: ModuleForm, h: PartitionFunction) -> ModuleForm:
             if g.is_unit(gamma):
                 continue
             weight = GaussRat(h(space.act(vp, gamma)))
-            mat = bundle.act_matrix(vp, gamma)
-            moved = vec
-            if chart:
-                moved = _transport_vec(g, vec, (gamma,))
-            pushed = tuple(_dot(mat[i], moved) for i in range(bundle.rank))
-            pushed = _vec_scale(pushed, weight)
+            pushed = vec_scale(bundle.move(vp, gamma, vec), weight)
             if negate:
-                pushed = _vec_neg(pushed)
+                pushed = vec_neg(pushed)
             ModuleForm.put(out, (p, word + (gamma,)), pushed)
     result = ModuleForm(bundle, F.degree + 1)
     result.values = out
@@ -309,12 +274,10 @@ def germ_pullback_section(arrows, F: ModuleForm) -> ModuleForm:
         a = by_target.get(space.moment[p])
         if a is None:
             continue
-        v = F.values.get((space.act(p, a), ()))
-        if v is None:
-            continue
-        v = _transport_vec(g, v, (g.inv(a),))
-        back = bundle.act_matrix_inv(p, a)
-        ModuleForm.put(out, (p, ()), tuple(_dot(back[i], v) for i in range(bundle.rank)))
+        pa = space.act(p, a)
+        v = F.values.get((pa, ()))
+        if v is not None:
+            ModuleForm.put(out, (p, ()), bundle.move(pa, g.inv(a), v))
     result = ModuleForm(bundle, 0)
     result.values = out
     return result
@@ -356,8 +319,7 @@ class ConnectionData:
             s, t = GaussRat(self.u), GaussRat(1 - self.u)
             adjoint = self.adjoint_horizontal()
             self.horizontal_u = {
-                p: tuple(tuple(a.scale(s) + b.scale(t) for a, b in zip(r1, r2))
-                         for r1, r2 in zip(mat, adjoint[p]))
+                p: mat_add(mat_scale(mat, s), mat_scale(adjoint[p], t))
                 for p, mat in self.horizontal.items()}
 
     # -- validation -------------------------------------------------------------
@@ -386,17 +348,10 @@ class ConnectionData:
         original matrix, so the adjoint superconnection coincides there."""
         if self.horizontal is None:
             return None
-        bundle = self.bundle
-        model = bundle.groupoid.model
-        rank = bundle.rank
+        metric = self.bundle.metric
         out = {}
         for p, mat in self.horizontal.items():
-            at = tuple(tuple(mat[j][i] for j in range(rank)) for i in range(rank))
-            hmat = tuple(tuple(model.from_gauss(v) for v in row)
-                         for row in bundle.metric[p])
-            hinv = tuple(tuple(model.from_gauss(v) for v in row)
-                         for row in mat_inverse(bundle.metric[p]))
-            prod = mat_mul(hinv, mat_mul(at, hmat))
+            prod = mat_mul(mat_inverse(metric[p]), mat_mul(tuple(zip(*mat)), metric[p]))
             out[p] = tuple(tuple(-v.conj() for v in row) for row in prod)
         return out
 
@@ -411,16 +366,12 @@ class ConnectionData:
         out: Dict[Tuple[str, tuple], tuple] = {}
         for (p, word), vec in F.values.items():
             endpoint = space.act_word(p, word)
-            amat = matrices[endpoint] if matrices is not None else None
-            new = []
-            for i in range(bundle.rank):
-                acc = vec[i].exterior_d()
-                if amat is not None:
-                    for j in range(bundle.rank):
-                        acc = acc + amat[i][j] * vec[j]
-                new.append(-acc if negate else acc)
-            new = tuple(new)
-            if not _vec_is_zero(new):
+            new = tuple(c.exterior_d() for c in vec)
+            if matrices is not None:
+                new = vec_add(new, mat_vec(matrices[endpoint], vec))
+            if negate:
+                new = vec_neg(new)
+            if not vec_is_zero(new):
                 out[(p, word)] = new
         result = ModuleForm(bundle, F.degree)
         result.values = out

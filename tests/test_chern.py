@@ -174,6 +174,19 @@ def test_chern_form_degree_zero(fixture):
         assert got == g.model.from_gauss(GaussRat(expected))
 
 
+def test_chern_form_rejects_negative_degree():
+    c = load_fixture("z3").connection("rank1")
+    with pytest.raises(ValueError):
+        chern_form(c, -1)
+
+
+def test_vb_chern_rejects_negative_degree():
+    us = unit_space(load_fixture("z3").groupoid)
+    c = ConnectionData(trivial_bundle(us, 2), canonical_h(us))
+    with pytest.raises(ValueError):
+        chern_vector_bundle(c, -3)
+
+
 def test_chern_form_graded_cancellation():
     fx = load_fixture("z2")
     c = fx.connection("rank2-trivial", Fraction(1, 2))

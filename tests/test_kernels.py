@@ -354,15 +354,25 @@ def test_operator_to_kernel_rejects_nabla(fixture):
         operator_to_kernel(op, b)
 
 
-def test_mixed_degree_kernel_split(rng):
+@pytest.mark.parametrize("key", ["rank1", "rank2"])
+def test_commutator_with_odd_form_degree_entries(key, rng):
+    """delta . x dx is form-linear with 1-form entries: D commutes with it,
+    and the commutator of its products with 1-slot kernels passes its own
+    operator-side check."""
     fx = load_fixture("z2chart")
-    c = fx.connection("rank2", Fraction(1, 2))
-    from ncg.chern import curvature_kernels
-    curv = curvature_kernels(c)
-    from ncg.kernels import kernel_split_by_form_degree
-    for part in curv.parts.values():
-        pieces = kernel_split_by_form_degree(part)
-        total = SmoothingKernel.zero(part.bundle, part.degree)
-        for piece in pieces.values():
-            total = total + piece
-        assert total == part
+    b = fx.bundle(key)
+    c = fx.connection(key)
+    x_dx = PolyFormCoeff.monomial(1, (1,), (1,))
+    kernel = SmoothingKernel(b, 0, {
+        k: tuple(tuple(v * x_dx for v in row) for row in mat)
+        for k, mat in SmoothingKernel.delta(b).values.items()})
+    set_flags(kernel)
+    assert (kernel.equivariant, kernel.cocycle) == (True, True)
+    assert kernel.form_degrees() == {1}
+    assert commutator_with_d(c, kernel).is_zero()
+    sample = KernelSampler(b, 1).sample(rng)
+    for product in (kernel_mul(kernel, sample), kernel_mul(sample, kernel)):
+        set_flags(product)
+        assert (product.equivariant, product.cocycle) == (True, True)
+        assert not product.is_zero()
+        commutator_with_d(c, product)

@@ -1,10 +1,36 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ncg.coefficients import GaussRat, GR_ONE, GR_ZERO
-from ncg.linalg import (RowReducer, determinant,
-                        is_positive_definite_hermitian, mat_inverse,
-                        nullspace, solve, vec_add)
+from ncg.linalg import (RowReducer, is_positive_definite_hermitian,
+                        mat_inverse, nullspace, solve, sparse_add)
+
+
+def determinant(mat):
+    """Laplace expansion along the first row: an oracle independent of the
+    elimination in ncg.linalg."""
+    if not mat:
+        return GR_ONE
+    total = GR_ZERO
+    for j, a in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = a * determinant(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def sylvester(mat):
+    """Hermitian with every leading principal minor a positive real."""
+    n = len(mat)
+    if any(mat[i][j] != mat[j][i].conj() for i in range(n) for j in range(n)):
+        return False
+    for k in range(1, n + 1):
+        minor = determinant([list(row[:k]) for row in mat[:k]])
+        if minor.imag != 0 or minor.real <= 0:
+            return False
+    return True
 
 
 def random_system(rng, max_rows=6, max_cols=7, density=0.6):
@@ -55,12 +81,12 @@ def test_row_reducer_certificates():
         target = {}
         for i, row in originals.items():
             c = GaussRat(rng.randint(-2, 2))
-            target = vec_add(target, row, c)
+            target = sparse_add(target, row, c)
         residue, combo = reducer.express(target)
         assert not residue
         replay = {}
         for label, c in combo.items():
-            replay = vec_add(replay, originals[label], c)
+            replay = sparse_add(replay, originals[label], c)
         assert replay == target
 
 
@@ -95,8 +121,9 @@ def test_matrix_inverse_and_determinant():
         n = rng.randint(1, 4)
         mat = [[GaussRat(rng.randint(-3, 3), rng.randint(-1, 1))
                 for _ in range(n)] for _ in range(n)]
-        det = determinant(mat)
-        if det.is_zero():
+        if determinant(mat).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                mat_inverse(mat)
             continue
         inv = mat_inverse(mat)
         prod = [[sum((mat[i][t] * inv[t][j] for t in range(n)), GR_ZERO)
@@ -116,3 +143,22 @@ def test_positive_definite_check():
     assert not is_positive_definite_hermitian(((GaussRat(-1),),))
     assert not is_positive_definite_hermitian(((GR_ONE, GR_ONE),
                                                (GR_ZERO, GR_ONE)))
+
+
+def test_positive_definite_check_matches_sylvester():
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        mat = [[None] * n for _ in range(n)]
+        for i in range(n):
+            mat[i][i] = GaussRat(rng.randint(-1, 4))
+            for j in range(i + 1, n):
+                mat[i][j] = GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
+                mat[j][i] = mat[i][j].conj()
+        if rng.random() < 0.1:
+            mat[0][-1] = mat[0][-1] + GR_ONE  # break the symmetry
+        expected = sylvester(mat)
+        assert is_positive_definite_hermitian(mat) == expected
+        seen[expected] += 1
+    assert min(seen.values()) > 20
