@@ -255,13 +255,11 @@ def verify_trace_property(k1: SmoothingKernel, k2: SmoothingKernel,
     return reduce_in_ab(diff, reducer, name)
 
 
-def verify_closedness(components: Dict[int, GradedSum],
-                      reducers: Dict[int, AbReducer],
+def verify_closedness(components: Dict[int, GradedSum], reducer: AbReducer,
                       name: Callable[[int], str]) -> List[Verdict]:
-    """Per degree: (d1 + d2) of the given component reduces to zero against
-    the reducer one degree up; name(degree) names the verdict."""
-    return [reduce_in_ab(components[degree].d_total(), reducers[degree + 1],
-                         name(degree))
+    """Per degree: (d1 + d2) of the given component reduces to zero in the
+    quotient by graded commutators; name(degree) names the verdict."""
+    return [reduce_in_ab(components[degree].d_total(), reducer, name(degree))
             for degree in sorted(components)]
 
 

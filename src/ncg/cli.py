@@ -22,13 +22,13 @@ from . import __version__
 from .bisections import bisection_basis, decompose, reassemble
 from .chern import VerificationError, chern_form, verify_closedness
 from .coefficients import CoefficientError
-from .forms import FormError
+from .forms import AbReducer, FormError
 from .groupoid import GroupoidError, validate_bundle, validate_groupoid, validate_space
 from .io import (LoadError, form_to_json, kernel_to_json, load_form,
                  load_kernel, load_manifest, suite_parameters)
 from .kernels import (KernelError, KernelSampler, equivariance_residuals,
                       kernel_mul)
-from .suites import SUITE_NAMES, chern_reducers, derive_rng, run_suite
+from .suites import SUITE_NAMES, derive_rng, run_suite
 
 INPUT_ERRORS = (LoadError, GroupoidError, FormError, KernelError,
                 CoefficientError, FileNotFoundError, KeyError,
@@ -161,9 +161,8 @@ def cmd_verify(args) -> int:
 def cmd_chern(args) -> int:
     fixture = load_manifest(args.manifest)
     u = _fraction(args.u)
-    reducers = chern_reducers(fixture.groupoid, args.max_degree)
     components = chern_form(fixture.connection(u=u), args.max_degree)
-    verdicts = verify_closedness(components, reducers,
+    verdicts = verify_closedness(components, AbReducer(fixture.groupoid),
                                  lambda d: f"closedness-degree-{d}-u-{u}")
     payload = {
         "fixture": fixture.name,

@@ -193,9 +193,6 @@ class NCForm(SparseForm):
             out |= c.form_degrees()
         return out
 
-    def total_degrees(self) -> set:
-        return {self.degree + m for m in self.form_degrees()}
-
     def __hash__(self):
         return hash((id(self.owner), self.degree,
                      tuple(sorted((k, str(v)) for k, v in self.values.items()))))
@@ -404,11 +401,11 @@ def flatten_sum(forms: Iterable[NCForm]) -> Vector:
     return vec
 
 
-def _delta_generators(groupoid: GroupoidSpec, total_degree: int, poly_bound: int):
-    """Delta-form generators of each total degree up to total_degree."""
+def _delta_generators(groupoid: GroupoidSpec, top: int, poly_bound: int):
+    """Delta-form generators of each total degree up to top."""
     model = groupoid.model
-    out: Dict[int, list] = {d: [] for d in range(total_degree + 1)}
-    for n in range(total_degree + 1):
+    out: Dict[int, list] = {d: [] for d in range(top + 1)}
+    for n in range(top + 1):
         tuples = groupoid.nondegenerate_tuples(n)
         if model.kind == "scalar":
             for t in tuples:
@@ -420,7 +417,7 @@ def _delta_generators(groupoid: GroupoidSpec, total_degree: int, poly_bound: int
             for t in tuples:
                 for form in form_sets:
                     m = len(form)
-                    if n + m > total_degree:
+                    if n + m > top:
                         continue
                     for exps in monos:
                         coeff = PolyFormCoeff.monomial(dim, exps, form)
@@ -450,11 +447,11 @@ def _form_index_subsets(dim: int):
     return sorted(subsets, key=lambda s: (len(s), s))
 
 
-BlockKey = Tuple[str, int, int]
+BlockKey = Tuple[int, str, int, int]
 
 
 class AbReducer:
-    """Row-reduced basis of the graded-commutator span at one total degree.
+    """Row-reduced basis of the graded-commutator span [Omega, Omega].
 
     Every basis vector is produced from literal commutators of delta-form
     generators, and the certificate of each reduction is an explicit
@@ -463,46 +460,47 @@ class AbReducer:
     The span is a direct sum of blocks.  A commutator of two delta forms is
     supported on tuples whose composite is x.y or y.x for the composites x
     and y of the two generator tuples, and those two arrows are conjugate;
-    its simplicial degree is the sum of the generators' degrees, and on
-    charts its polynomial degree is too, because pullback preserves it and
-    the product adds it.  A block is keyed by (conjugacy class of the
-    composite, simplicial degree, polynomial degree); the class of a loop is
-    its least conjugate by arrow name, and a non-loop is its own class.
+    its total degree, simplicial degree and (on charts) polynomial degree
+    are the sums of the generators' ones, because pullback preserves them
+    and the product adds them.  A block is keyed by (total degree,
+    conjugacy class of the composite, simplicial degree, polynomial
+    degree); the class of a loop is its least conjugate by arrow name, and
+    a non-loop is its own class.
 
-    The generator pairs of polynomial degree P are enumerated the first
-    time a query reaches P, so the query sets how far the span goes and no
-    caller bounds it; scalar models have only P = 0, indexed on
-    construction.  Each block is row reduced on its own, the first time a
+    The generator pairs of total degree T and polynomial degree P are
+    enumerated the first time a query reaches (T, P), so the query sets how
+    far the span goes and no caller chooses a degree; scalar models have
+    only P = 0.  Each block is row reduced on its own, the first time a
     query touches it, from its pairs in the (degree, label, label) order.
     Pivots, residues and certificates are therefore those of one reducer
-    holding every commutator of those polynomial degrees, while a query
-    pays only for the blocks it meets: traces and Chern forms live in the
-    unit-class blocks.
+    per total degree holding every commutator of those polynomial degrees,
+    while a query pays only for the blocks it meets: traces and Chern forms
+    live in the unit-class blocks.
     """
 
-    def __init__(self, groupoid: GroupoidSpec, total_degree: int):
+    def __init__(self, groupoid: GroupoidSpec):
         self.groupoid = groupoid
-        self.total_degree = total_degree
         self._classes: Dict[str, str] = {}
-        # block -> [((P, index within P), label1, form1, label2, form2, negate)]
+        # block -> [((T, P, index within (T, P)), label1, form1, label2,
+        # form2, negate)]
         self.pairs: Dict[BlockKey, list] = {}
         self._indexed: set = set()
         # the blocks built so far, and per block the pivot commutators as
-        # label -> ((P, index within P), parts)
+        # label -> ((T, P, index within (T, P)), parts)
         self.blocks: Dict[BlockKey, RowReducer] = {}
         self._commutators: Dict[BlockKey, Dict] = {}
-        self._index(0)
 
-    def _index(self, poly: int):
-        """File every generator pair whose polynomial degrees sum to poly."""
-        if poly in self._indexed:
+    def _index(self, total: int, poly: int):
+        """File every generator pair of total degree `total` whose
+        polynomial degrees sum to poly."""
+        if (total, poly) in self._indexed:
             return
-        self._indexed.add(poly)
+        self._indexed.add((total, poly))
         g = self.groupoid
-        generators = _delta_generators(g, self.total_degree, poly)
+        generators = _delta_generators(g, total, poly)
         index = 0
-        for d1_ in range(self.total_degree + 1):
-            d2_ = self.total_degree - d1_
+        for d1_ in range(total + 1):
+            d2_ = total - d1_
             negate = (d1_ * d2_) % 2 == 0
             for label1, form1 in generators[d1_]:
                 x = g.compose_word(label1[1])
@@ -519,10 +517,10 @@ class AbReducer:
                         composite = g.mul(y, x)
                     else:
                         continue  # neither product is defined
-                    block = (self._class(composite),
+                    block = (total, self._class(composite),
                              len(label1[1]) + len(label2[1]) - 2, poly)
                     self.pairs.setdefault(block, []).append(
-                        ((poly, index), label1, form1, label2, form2, negate))
+                        ((total, poly, index), label1, form1, label2, form2, negate))
                     index += 1
 
     def _class(self, arrow: str) -> str:
@@ -538,14 +536,19 @@ class AbReducer:
         return cls
 
     def block_of(self, coord) -> BlockKey:
-        """The block of one flattened coordinate (degree, tuple[, term])."""
-        poly = _poly_degree(coord[2]) if len(coord) == 3 else 0
-        return (self._class(self.groupoid.compose_word(coord[1])), coord[0], poly)
+        """The block of one flattened coordinate (degree, tuple[, term]):
+        its total degree is the simplicial degree plus the term's form
+        degree."""
+        degree, key = coord[0], coord[1]
+        term = coord[2] if len(coord) == 3 else None
+        total = degree if term is None else degree + len(term[1])
+        return (total, self._class(self.groupoid.compose_word(key)), degree,
+                _poly_degree(term))
 
     def _block(self, block: BlockKey) -> RowReducer:
         reducer = self.blocks.get(block)
         if reducer is None:
-            self._index(block[2])
+            self._index(block[0], block[3])
             reducer = RowReducer()
             commutators = {}
             for index, label1, form1, label2, form2, negate in self.pairs.get(block, ()):
@@ -567,16 +570,17 @@ class AbReducer:
 
     @property
     def rank(self) -> int:
-        """Rank of the span of the polynomial degrees indexed so far
-        (builds each of their blocks)."""
+        """Rank of the span of the (total, polynomial) degrees indexed so
+        far (builds each of their blocks)."""
         self._build_all()
         return sum(reducer.rank for reducer in self.blocks.values())
 
     @property
     def commutators(self) -> Dict:
         """Label -> literal commutator parts of every pivot generator of the
-        polynomial degrees indexed so far, ordered by polynomial degree and
-        then generator order (builds each of their blocks)."""
+        (total, polynomial) degrees indexed so far, ordered by total degree,
+        polynomial degree and then generator order (builds each of their
+        blocks)."""
         self._build_all()
         entries = [item for block in self._commutators.values()
                    for item in block.items()]
@@ -589,11 +593,6 @@ class AbReducer:
             forms = [forms]
         elif isinstance(forms, GradedSum):
             forms = list(forms.parts.values())
-        for form in forms:
-            degs = form.total_degrees()
-            if degs and degs != {self.total_degree}:
-                raise FormError(
-                    f"form of total degree {sorted(degs)} reduced at degree {self.total_degree}")
         split: Dict[BlockKey, Vector] = {}
         for coord, value in flatten_sum(forms).items():
             split.setdefault(self.block_of(coord), {})[coord] = value

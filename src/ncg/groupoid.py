@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .coefficients import (CoefficientModel, GaussRat, GR_ONE, GR_ZERO,
+from .coefficients import (CoefficientModel, GaussRat, GR_ZERO,
                            SCALAR_MODEL, identity_matrix, mat_mul, mat_vec,
                            vec_transport)
-from .linalg import is_positive_definite_hermitian, solve
+from .linalg import is_positive_definite_hermitian
 
 
 class GroupoidError(ValueError):
@@ -413,36 +413,15 @@ class PartitionFunction:
 
 
 def canonical_h(space: FiberedSpace) -> PartitionFunction:
-    """Default h(q) = 1 / |target fiber at moment(q)|, with an exact linear
-    solve as fallback when the uniform choice misses the identity."""
+    """h(q) = 1 / |target fiber at moment(q)|.
+
+    This always meets the identity: the moment of p.a is src a, and
+    b -> a.b maps the target fiber at src a onto the one at tgt a, so each
+    of the N terms of the sum at p is 1/N.
+    """
     g = space.groupoid
-    guess = {q: Fraction(1, len(g.target_fiber(space.moment[q])))
-             for q in space.points}
-    ok = True
-    for p in space.points:
-        total = sum(guess[space.act(p, a)]
-                    for a in g.target_fiber(space.moment[p]))
-        if total != 1:
-            ok = False
-            break
-    if ok:
-        return PartitionFunction(space, guess)
-    rows = []
-    rhs = []
-    for p in space.points:
-        row: Dict[str, GaussRat] = {}
-        for a in g.target_fiber(space.moment[p]):
-            q = space.act(p, a)
-            row[q] = row.get(q, GR_ZERO) + GR_ONE
-        rows.append(row)
-        rhs.append(GR_ONE)
-    sol = solve(rows, rhs, list(space.points))
-    if sol is None:
-        raise GroupoidError("no exact partition function exists on this space")
-    values = {p: sol[p].real for p in space.points}
-    if any(v < 0 for v in values.values()):
-        raise GroupoidError("exact solve produced a negative partition function")
-    return PartitionFunction(space, values)
+    return PartitionFunction(space, {
+        q: Fraction(1, len(g.target_fiber(space.moment[q]))) for q in space.points})
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +509,8 @@ def validate_bundle(bundle: EquivariantBundle) -> ValidationReport:
         report.add("grading length differs from rank")
     if any(s not in (1, -1) for s in bundle.grading):
         report.add("grading entries must be +1 or -1")
+    if len(bundle.grading) != bundle.rank:
+        return report  # no grading matrix to test the action against
     # the supertrace bookkeeping assumes grading-even structure matrices
     eps = tuple(tuple(GaussRat(bundle.grading[i]) if i == j else GR_ZERO
                       for j in range(bundle.rank)) for i in range(bundle.rank))

@@ -165,23 +165,6 @@ def _gauss_jordan(work: List[list], ncols: int,
     return pivots
 
 
-def solve(rows: Sequence[Vector], rhs: Sequence[GaussRat], columns: Sequence[Hashable]):
-    """One exact solution of rows . x = rhs, or None if inconsistent.
-
-    Dense Gauss-Jordan; the systems solved this way (partition functions,
-    small adjunctions) have at most a few dozen columns.
-    """
-    cols = list(columns)
-    dense = [[row.get(c, GR_ZERO) for c in cols] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = _gauss_jordan(dense, len(cols))
-    if any(not row[-1].is_zero() for row in dense[len(pivots):]):
-        return None
-    sol = {c: GR_ZERO for c in cols}
-    for row, (j, _) in zip(dense, pivots):
-        sol[cols[j]] = row[-1]
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Dense GaussRat matrices (small ranks)
 # ---------------------------------------------------------------------------

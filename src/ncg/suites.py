@@ -346,10 +346,6 @@ def _bundle_keys(fixture: Fixture) -> List[str]:
     return keys or [fixture.default_bundle]
 
 
-def _main_bundle_key(fixture: Fixture) -> str:
-    return "rank2" if "rank2" in fixture.bundles else fixture.default_bundle
-
-
 def run_module(fixture: Fixture, seed: int = 0, trials: int = 100,
                u_values: Sequence[Fraction] = U_DEFAULT, **_) -> dict:
     g = fixture.groupoid
@@ -426,7 +422,7 @@ def _sampler(fixture: Fixture, bundle_key: str, slots: int = 1) -> KernelSampler
 def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict:
     g = fixture.groupoid
     rec = Recorder()
-    bundle_key = _main_bundle_key(fixture)
+    bundle_key = fixture.default_bundle
     bundle = fixture.bundle(bundle_key)
     sampler = _sampler(fixture, bundle_key)
 
@@ -492,26 +488,10 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
     return rec.report("kernels", fixture.name)
 
 
-def chern_reducers(groupoid, max_degree: int) -> Dict[int, AbReducer]:
-    """The reducer for each d(component) degree 2j + 1 up to max_degree + 1."""
-    if max_degree < 0:
-        raise ValueError(f"max degree must be at least 0, got {max_degree}")
-    return {2 * j + 1: AbReducer(groupoid, 2 * j + 1)
-            for j in range(max_degree // 2 + 1)}
-
-
 def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
                 u_values: Sequence[Fraction] = U_DEFAULT, **_) -> dict:
     rec = Recorder()
-    reducers: Dict[int, AbReducer] = {}
-
-    def reducer_at(degree: int) -> AbReducer:
-        if degree not in reducers:
-            reducers[degree] = AbReducer(fixture.groupoid, degree)
-        return reducers[degree]
-
-    bundle_key = _main_bundle_key(fixture)
-    bundle = fixture.bundle(bundle_key)
+    bundle_key = fixture.default_bundle
     sampler = _sampler(fixture, bundle_key)
 
     if sampler.dimension == 0:
@@ -529,17 +509,17 @@ def run_theorem(fixture: Fixture, seed: int = 0, trials: int = 20,
     # the identity reads h and D, never D(u): one check per kernel, recorded
     # under every u
     c = fixture.connection(bundle_key)
+    reducer = AbReducer(fixture.groupoid)
     for trial, K in enumerate(kernels):
         name = f"theorem-k{trial:03d}"
-        verdict = verify_theorem(c, K, reducer_at(K.degree + 1), name=name)
+        verdict = verify_theorem(c, K, reducer, name=name)
         rec.record_verdict(verdict, [f"{name}-u-{u}" for u in u_values])
 
     # the trace property
-    pair_reducer = reducer_at(2 * sampler.slots)
     for trial in range(trials):
         rng = derive_rng(seed, "theorem", "trace-property", trial)
         k1, k2 = sampler.sample(rng), sampler.sample(rng)
-        verdict = verify_trace_property(k1, k2, fixture.h, pair_reducer,
+        verdict = verify_trace_property(k1, k2, fixture.h, reducer,
                                         name=f"trace-property-{trial:03d}")
         rec.record_verdict(verdict)
 
@@ -571,20 +551,32 @@ def _by_operator(connections) -> List[Tuple[ConnectionData, List[Fraction]]]:
     return groups
 
 
+def _invariant_radial_form(model) -> PolyFormCoeff:
+    """The chart group's average of sum_i x_i dx_i: a 1-form invariant
+    along every arrow, x dx on a line."""
+    dim = model.dim
+    radial = PolyFormCoeff(dim, {(tuple(int(j == i) for j in range(dim)), (i + 1,)):
+                                 GaussRat(1) for i in range(dim)})
+    total = PolyFormCoeff(dim)
+    for label in model.matrices:
+        total = total + model.pullback(radial, label)
+    return total.scale(GaussRat(1, 0, len(model.matrices)))
+
+
 def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
               max_degree: int = 4, u_values: Sequence[Fraction] = U_DEFAULT,
               **_) -> dict:
     g = fixture.groupoid
     rec = Recorder()
     chart = g.model.kind == "chart"
-    reducers = chern_reducers(g, max_degree)
+    reducer = AbReducer(g)
 
     for bundle_key in _bundle_keys(fixture):
         for c, shared in _by_operator(fixture.connection(bundle_key, u)
                                       for u in u_values):
             components = chern_form(c, max_degree)
             for verdict in verify_closedness(
-                    components, reducers,
+                    components, reducer,
                     lambda d: f"{bundle_key}-closedness-degree-{d}"):
                 rec.record_verdict(verdict,
                                    [f"{verdict.name}-u-{u}" for u in shared])
@@ -595,12 +587,12 @@ def run_chern(fixture: Fixture, seed: int = 0, trials: int = 20,
     vb = trivial_bundle(us, 2, grading=None)
     hor0 = None
     if chart:
-        xdx = PolyFormCoeff.monomial(g.model.dim, (1,), (1,))
+        xdx = _invariant_radial_form(g.model)
         zero = PolyFormCoeff(g.model.dim)
         hor0 = {p: ((xdx, zero), (zero, -xdx)) for p in us.points}
     components = chern_vector_bundle(ConnectionData(vb, h0, horizontal=hor0),
                                      max_degree)
-    for verdict in verify_closedness(components, reducers,
+    for verdict in verify_closedness(components, reducer,
                                      lambda d: f"vb-closedness-tau^{d // 2}"):
         rec.record_verdict(verdict)
     comp0 = components[0].component(0)

@@ -205,7 +205,7 @@ def test_chern_u_independent_in_scalar_model(scalar_fixture):
 def test_verify_theorem_zero_kernel(fixture):
     c = fixture.connection()
     zero = SmoothingKernel.zero(c.bundle, 1)
-    reducer = AbReducer(fixture.groupoid, 2)
+    reducer = AbReducer(fixture.groupoid)
     assert verify_theorem(c, zero, reducer).passed
 
 
@@ -214,7 +214,7 @@ def test_verify_theorem_sampled(fixture, rng):
     sampler = KernelSampler(c.bundle, 1)
     if sampler.dimension == 0:
         return
-    reducer = AbReducer(fixture.groupoid, 2)
+    reducer = AbReducer(fixture.groupoid)
     for _ in range(5):
         K = sampler.sample(rng)
         verdict = verify_theorem(c, K, reducer)
@@ -228,7 +228,7 @@ def test_verify_theorem_chart_without_connection_matrices(chart_fixture, key):
     the exterior derivative, so the commutator keeps its d(entry) part."""
     b = chart_fixture.bundle(key)
     sampler = KernelSampler(b, 1)
-    reducer = AbReducer(chart_fixture.groupoid, 2)
+    reducer = AbReducer(chart_fixture.groupoid)
     for trial in range(3):
         K = sampler.sample(derive_rng(0, "chart-no-connection", key, trial))
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
@@ -252,7 +252,7 @@ def test_verify_theorem_broken_kernel_fails(rng, monkeypatch):
     monkeypatch.setattr("ncg.kernels.set_flags", mark_verified)
     fx = load_fixture("z3")
     c = fx.connection("rank1")
-    reducer = AbReducer(fx.groupoid, 2)
+    reducer = AbReducer(fx.groupoid)
     found = False
     for _ in range(10):
         raw = random_raw_kernel(c.bundle, 1, rng, density=1.0)
@@ -289,7 +289,7 @@ def test_trace_property_sampled(fixture, rng):
     sampler = KernelSampler(b, 1)
     if sampler.dimension == 0:
         return
-    reducer = AbReducer(fixture.groupoid, 2)
+    reducer = AbReducer(fixture.groupoid)
     for _ in range(5):
         k1, k2 = sampler.sample(rng), sampler.sample(rng)
         assert verify_trace_property(k1, k2, fixture.h, reducer).passed
@@ -327,11 +327,11 @@ def test_pair_groupoid_trace_cyclicity_matches_matrices(rng):
 
 def test_verify_closedness_all_u(fixture):
     g = fixture.groupoid
-    reducers = {2 * j + 1: AbReducer(g, 2 * j + 1) for j in range(3)}
+    reducer = AbReducer(g)
     for key in ("rank1", "rank2"):
         for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
             c = fixture.connection(key, u)
-            verdicts = verify_closedness(chern_form(c, 4), reducers, str)
+            verdicts = verify_closedness(chern_form(c, 4), reducer, str)
             assert verdicts and all(verdicts), (key, u)
 
 
@@ -355,8 +355,7 @@ def test_vb_chern_closedness(scalar_fixture):
     g = scalar_fixture.groupoid
     us = unit_space(g)
     c = ConnectionData(trivial_bundle(us, 2), canonical_h(us))
-    reducers = {d: AbReducer(g, d) for d in (1, 3, 5)}
-    verdicts = verify_closedness(chern_vector_bundle(c, 4), reducers, str)
+    verdicts = verify_closedness(chern_vector_bundle(c, 4), AbReducer(g), str)
     assert verdicts and all(verdicts)
 
 
@@ -367,8 +366,7 @@ def test_vb_chern_chart_with_connection():
     bundle = trivial_bundle(us, 1)
     xdx = PolyFormCoeff.monomial(1, (1,), (1,))
     c = ConnectionData(bundle, h, horizontal={p: ((xdx,),) for p in us.points})
-    reducers = {1: AbReducer(g, 1), 3: AbReducer(g, 3)}
-    verdicts = verify_closedness(chern_vector_bundle(c, 2), reducers, str)
+    verdicts = verify_closedness(chern_vector_bundle(c, 2), AbReducer(g), str)
     assert verdicts and all(verdicts)
     comps = chern_vector_bundle(c, 2)
     assert comps[0].component(0).values == {
@@ -442,7 +440,7 @@ def test_theorem_verdict_is_independent_of_u():
     assert connections[0].horizontal_u != connections[1].horizontal_u
     assert connections[1].horizontal_u != connections[2].horizontal_u
     sampler = KernelSampler(fx.bundle(key), 1)
-    reducer = AbReducer(fx.groupoid, 2)
+    reducer = AbReducer(fx.groupoid)
     for trial in range(3):
         K = sampler.sample(derive_rng(0, "theorem-u", trial))
         payloads = [verify_theorem(c, K, reducer).payload()

@@ -2,7 +2,7 @@ import pytest
 
 from ncg.coefficients import GaussRat, GR_I, GR_ONE, PolyFormCoeff
 from ncg.fixtures import cyclic_groupoid, load_fixture, pair_groupoid, unit_groupoid
-from ncg.forms import (AbReducer, FormError, GradedSum, NCForm, _delta_generators,
+from ncg.forms import (AbReducer, GradedSum, NCForm, _delta_generators,
                        _poly_degree, flatten_form, flatten_sum)
 from ncg.linalg import RowReducer
 from ncg.reference import convolve_reference
@@ -115,20 +115,28 @@ def test_total_differential_squares_to_zero(fixture, rng):
         assert GradedSum(NCForm, g, [w.d1(), w.d2()]).d_total().is_zero()
 
 
+def _filed(groupoid, *degrees):
+    """A reducer with the P = 0 pairs of each total degree filed."""
+    reducer = AbReducer(groupoid)
+    for degree in degrees:
+        reducer._index(degree, 0)
+    return reducer
+
+
 def test_reducer_unit_groupoid_zero():
     g = unit_groupoid()
-    assert AbReducer(g, 0).rank == 0
-    assert AbReducer(g, 1).rank == 0
+    assert _filed(g, 0).rank == 0
+    assert _filed(g, 1).rank == 0
 
 
 def test_reducer_abelian_group_degree0():
-    assert AbReducer(cyclic_groupoid(2), 0).rank == 0
-    assert AbReducer(cyclic_groupoid(3), 0).rank == 0
+    assert _filed(cyclic_groupoid(2), 0).rank == 0
+    assert _filed(cyclic_groupoid(3), 0).rank == 0
 
 
 def test_reducer_pair_groupoid_matrix_commutators():
     # commutator span of the 2x2 matrix algebra: trace-zero, dimension 3
-    reducer = AbReducer(pair_groupoid(), 0)
+    reducer = _filed(pair_groupoid(), 0)
     assert reducer.rank == 3
     g = pair_groupoid()
     unit_delta = NCForm.delta(g, ("1>1",))
@@ -148,7 +156,7 @@ def _replay(reducer, combo):
 
 def test_reducer_certificate_is_exact(fixture, rng):
     g = fixture.groupoid
-    reducer = AbReducer(g, 1)
+    reducer = AbReducer(g)
     for _ in range(10):
         w1 = random_form(g, 0, rng, with_forms=False)
         w2 = random_form(g, 1 if g.model.kind == "scalar" else 0, rng,
@@ -156,9 +164,6 @@ def test_reducer_certificate_is_exact(fixture, rng):
         if g.model.kind == "chart":
             w2 = w2.d2()
         comm = w1 * w2 - w2 * w1
-        degs = comm.total_degrees()
-        if degs and degs != {1}:
-            continue
         ok, combo = reducer.is_zero_in_ab(comm)
         assert ok
         assert _replay(reducer, combo) == flatten_form(comm)
@@ -173,38 +178,30 @@ def test_reducer_reaches_the_query_polynomial_degree(chart_fixture):
     w1, w2 = NCForm.delta(g, ("g1",), x5), NCForm.delta(g, ("e",), x5)
     comm = w1 * w2 - w2 * w1
     assert not comm.is_zero()
-    reducer = AbReducer(g, 0)
-    assert {block[2] for block in reducer.pairs} == {0}
+    reducer = AbReducer(g)
+    assert not reducer.pairs  # construction files nothing
     ok, combo = reducer.is_zero_in_ab(comm)
     assert ok and combo
-    assert 10 in {block[2] for block in reducer.pairs}
+    assert 10 in {block[3] for block in reducer.pairs}
     assert _replay(reducer, combo) == flatten_form(comm)
 
 
 def test_differential_preserves_commutator_span(scalar_fixture):
     g = scalar_fixture.groupoid
-    reducer1 = AbReducer(g, 1)
-    reducer2 = AbReducer(g, 2)
-    for label, parts in reducer1.commutators.items():
+    reducer = _filed(g, 1)
+    for label, parts in list(reducer.commutators.items()):
         image = GradedSum(NCForm, g)
         for part in parts:
             image = image + GradedSum(NCForm, g, [part.d1(), part.d2()])
-        ok, _ = reducer2.is_zero_in_ab(image)
+        ok, _ = reducer.is_zero_in_ab(image)
         assert ok, label
 
 
 def test_is_zero_in_ab_trivial_cases():
     g = cyclic_groupoid(2)
-    reducer = AbReducer(g, 0)
+    reducer = AbReducer(g)
     ok, combo = reducer.is_zero_in_ab(NCForm(g, 0))
     assert ok and not combo
-
-
-def test_degree_mismatch_rejected():
-    g = cyclic_groupoid(2)
-    reducer = AbReducer(g, 1)
-    with pytest.raises(FormError):
-        reducer.is_zero_in_ab(NCForm.delta(g, ("g1", "g1", "g1")))
 
 
 def test_associativity_randomized(fixture, rng):
@@ -252,7 +249,7 @@ def test_block_reducer_matches_eager_oracle(fixture, degree):
     p1 + p2 <= P: residues, certificates, rank, and pivot order within
     each polynomial degree."""
     g = fixture.groupoid
-    lazy = AbReducer(g, degree)
+    lazy = AbReducer(g)
     for poly in range(4 if g.model.kind == "chart" else 1):
         eager, eager_commutators = _eager_reducer(g, degree, poly)
         rng = derive_rng(degree, "block-oracle", fixture.name, poly)
@@ -267,7 +264,7 @@ def test_block_reducer_matches_eager_oracle(fixture, degree):
                 query.append(rng.choice(generators).scale(random_gauss(rng)))
             assert lazy.reduce(query) == eager.express(flatten_sum(query))
         for p in range(poly + 1):
-            lazy._index(p)
+            lazy._index(degree, p)
         assert lazy.rank == eager.rank
         assert lazy.commutators == eager_commutators
         for p in range(poly + 1):
@@ -279,14 +276,35 @@ def test_block_reducer_matches_eager_oracle(fixture, degree):
 
 def test_block_reducer_builds_only_queried_blocks():
     g = load_fixture("z3").groupoid
-    reducer = AbReducer(g, 3)
-    unit_class = reducer.block_of((0, ("e",)))[0]
-    assert {block[0] for block in reducer.pairs} > {unit_class}
-    assert not reducer.blocks  # construction builds nothing
+    reducer = _filed(g, 3)
+    unit_class = reducer.block_of((0, ("e",)))[1]
+    assert {block[1] for block in reducer.pairs} > {unit_class}
+    assert not reducer.blocks  # filing builds nothing
     form = NCForm.delta(g, ("e", "g1", "g1", "g1"))  # composite is the unit
     reducer.is_zero_in_ab(form + form.involute())
     built = set(reducer.blocks)
-    assert built and {block[0] for block in built} == {unit_class}
+    assert built and {block[1] for block in built} == {unit_class}
     assert built < set(reducer.pairs)
     assert reducer.rank > 0  # the full-span rank builds every block
     assert set(reducer.blocks) == set(reducer.pairs)
+
+
+def test_one_reducer_serves_every_total_degree(chart_fixture):
+    """The total degree of a coordinate is its simplicial degree plus its
+    term's form degree; queries of several total degrees meet disjoint
+    blocks of one reducer and get the verdicts of a fresh reducer each."""
+    g = chart_fixture.groupoid
+    reducer = AbReducer(g)
+    assert reducer.rank == 0 and not reducer.pairs  # nothing filed yet
+    x_dx = PolyFormCoeff.monomial(1, (1,), (1,))
+    w1, w2 = NCForm.delta(g, ("g1",)), NCForm.delta(g, ("g1", "g1"))
+    queries = [w1 * w2 - w2 * w1,  # total degree 1, in the span
+               NCForm.delta(g, ("e",), x_dx),  # 0 + 1
+               NCForm.delta(g, ("e", "g1"), x_dx),  # 1 + 1
+               NCForm.delta(g, ("e", "g1", "g1"), x_dx)]  # 2 + 1
+    totals = [{reducer.block_of(c)[0] for c in flatten_form(q)} for q in queries]
+    assert totals == [{1}, {1}, {2}, {3}]
+    fresh = [AbReducer(g).reduce(q) for q in queries]
+    assert fresh[0][1]  # a certificate
+    assert [reducer.reduce(q) for q in queries] == fresh
+    assert {block[0] for block in reducer.blocks} == {1, 2, 3}

@@ -128,6 +128,16 @@ def test_canonical_h_identity_everywhere(fixture):
     assert h.check() is None
 
 
+def test_canonical_h_is_uniform(fixture):
+    """h(q) = 1 / |target fiber at moment(q)| meets the partition identity
+    on every fixture's space and unit space, with no solve needed."""
+    g = fixture.groupoid
+    for space in (fixture.space, unit_space(g)):
+        h = canonical_h(space)
+        assert h.values == {q: Fraction(1, len(g.target_fiber(space.moment[q])))
+                            for q in space.points}
+
+
 def test_bundle_validation_trivial():
     space = right_regular_space(cyclic_groupoid(2))
     assert validate_bundle(trivial_bundle(space, 1)).ok

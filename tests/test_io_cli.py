@@ -137,6 +137,98 @@ def _write_chart_manifest(tmp_path, key="rank2"):
     return manifest
 
 
+QUARTER_TURNS = ("e", "r", "r2", "r3")
+
+
+def _quarter_turn_groupoid_json():
+    """Z/4 acting on R^2 by quarter turns: a dimension-2 chart groupoid."""
+    turn = {"e": [["1", "0"], ["0", "1"]], "r": [["0", "-1"], ["1", "0"]],
+            "r2": [["-1", "0"], ["0", "-1"]], "r3": [["0", "1"], ["-1", "0"]]}
+    n = len(QUARTER_TURNS)
+    return {"name": "z4-quarter-turns", "objects": ["*"],
+            "arrows": [{"id": a, "src": "*", "tgt": "*"} for a in QUARTER_TURNS],
+            "compose": [[a, b, QUARTER_TURNS[(i + j) % n]]
+                        for i, a in enumerate(QUARTER_TURNS)
+                        for j, b in enumerate(QUARTER_TURNS)],
+            "chart": {"dim": 2, "matrices": turn}}
+
+
+def _write_quarter_turn_manifest(tmp_path):
+    """The quarter-turn groupoid with a trivial rank-1 bundle and no
+    connection."""
+    (tmp_path / "groupoid.json").write_text(json.dumps(_quarter_turn_groupoid_json()))
+    (tmp_path / "bundle.json").write_text(json.dumps({
+        "rank": 1,
+        "grading": [1],
+        "action": {f"{p},{a}": [["1"]] for p in QUARTER_TURNS for a in QUARTER_TURNS},
+        "metric": {p: [["1"]] for p in QUARTER_TURNS},
+    }))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "name": "z4-quarter-turns",
+        "groupoid": "groupoid.json",
+        "space": "right_regular",
+        "bundle": "bundle.json",
+        "h": "canonical",
+    }))
+    return manifest
+
+
+def test_cli_chern_on_dimension_two_chart(tmp_path, capsys):
+    """The unit-space connection of the chern suite is built in the chart's
+    own dimension, so a dimension-2 chart runs (it once exited 2)."""
+    manifest = _write_quarter_turn_manifest(tmp_path)
+    assert main(["verify", "--suite", "chern", "--fixture", str(manifest),
+                 "--max-degree", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"]
+    cases = {c["name"]: c for c in report["cases"]}
+    assert cases["vb-closedness-tau^1"]["certificate"]
+    assert all(cases[f"main-closedness-degree-2-u-{u}"]["certificate"]
+               for u in ("0", "1/2", "1"))
+
+
+def test_invariant_radial_form():
+    """The chern suite's unit-space connection form: the chart group's
+    average of sum_i x_i dx_i, x dx on z2chart."""
+    from ncg.coefficients import PolyFormCoeff
+    from ncg.suites import _invariant_radial_form
+    model = load_fixture("z2chart").groupoid.model
+    assert _invariant_radial_form(model) == PolyFormCoeff.monomial(1, (1,), (1,))
+    model = load_groupoid(_quarter_turn_groupoid_json()).model
+    form = _invariant_radial_form(model)
+    assert form == (PolyFormCoeff.monomial(2, (1, 0), (1,))
+                    + PolyFormCoeff.monomial(2, (0, 1), (2,)))
+    assert all(model.pullback(form, a) == form for a in QUARTER_TURNS)
+
+
+def _write_short_grading_manifest(tmp_path):
+    """z3 with its rank-2 rotation bundle, whose grading lists one entry."""
+    fx = load_fixture("z3")
+    bundle = fx.bundles["rank2-rotation"]
+    (tmp_path / "groupoid.json").write_text(json.dumps(groupoid_to_json(fx.groupoid)))
+    (tmp_path / "bundle.json").write_text(json.dumps({
+        "rank": 2,
+        "grading": [1],
+        "action": {f"({p}, {a})": [[str(v) for v in row] for row in mat]
+                   for (p, a), mat in bundle.action.items()},
+        "metric": {p: [[str(v) for v in row] for row in mat]
+                   for p, mat in bundle.metric.items()},
+    }))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"groupoid": "groupoid.json",
+                                    "bundle": "bundle.json"}))
+    return manifest
+
+
+@pytest.mark.parametrize("argv", [["validate"],
+                                  ["verify", "--suite", "algebra", "--fixture"]])
+def test_cli_short_grading_exits_2(tmp_path, capsys, argv):
+    manifest = _write_short_grading_manifest(tmp_path)
+    assert main(argv + [str(manifest)]) == 2
+    assert "grading length differs from rank" in capsys.readouterr().err
+
+
 def test_manifest_from_files(tmp_path):
     manifest = _write_z2_manifest(tmp_path)
     fixture = load_manifest(str(manifest))

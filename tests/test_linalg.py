@@ -5,7 +5,7 @@ import pytest
 
 from ncg.coefficients import GaussRat, GR_ONE, GR_ZERO
 from ncg.linalg import (RowReducer, is_positive_definite_hermitian,
-                        mat_inverse, nullspace, solve, sparse_add)
+                        mat_inverse, nullspace, sparse_add)
 
 
 def determinant(mat):
@@ -88,31 +88,6 @@ def test_row_reducer_certificates():
         for label, c in combo.items():
             replay = sparse_add(replay, originals[label], c)
         assert replay == target
-
-
-def test_solve_consistent_and_inconsistent():
-    rng = random.Random(7)
-    solved = 0
-    for _ in range(120):
-        rows, cols = random_system(rng, max_rows=5, max_cols=5)
-        secret = {c: GaussRat(rng.randint(-2, 2)) for c in cols}
-        rhs = []
-        for row in rows:
-            acc = GR_ZERO
-            for c, v in row.items():
-                acc = acc + v * secret[c]
-            rhs.append(acc)
-        sol = solve(rows, rhs, cols)
-        assert sol is not None
-        for row, b in zip(rows, rhs):
-            acc = GR_ZERO
-            for c, v in row.items():
-                acc = acc + v * sol.get(c, GR_ZERO)
-            assert acc == b
-        solved += 1
-    assert solved == 120
-    # inconsistent: x = 0 and x = 1
-    assert solve([{0: GR_ONE}, {0: GR_ONE}], [GR_ZERO, GR_ONE], [0]) is None
 
 
 def test_matrix_inverse_and_determinant():
