@@ -22,7 +22,7 @@ from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import PartitionFunction
 from .kernels import (KernelError, SmoothingKernel, VerificationError,
                       commutator_with_d, kernel_mul, kernel_sum_mul,
-                      operator_to_kernel, set_flags, translate_p)
+                      operator_to_kernel, translate_p)
 from .modules import ConnectionData
 
 
@@ -248,8 +248,8 @@ def verify_trace_property(k1: SmoothingKernel, k2: SmoothingKernel,
                           h: PartitionFunction, reducer: AbReducer,
                           name: str = "trace-property") -> Verdict:
     """Trace of k1*k2 minus (-1)^{|k1||k2|} trace of k2*k1 in the quotient."""
-    t12 = trace_e(set_flags(kernel_mul(k1, k2)), h)
-    t21 = trace_e(set_flags(kernel_mul(k2, k1)), h)
+    t12 = trace_e(kernel_mul(k1, k2), h)
+    t21 = trace_e(kernel_mul(k2, k1), h)
     sign = -1 if (k1.degree * k2.degree) % 2 else 1
     diff = t12 - t21 if sign > 0 else t12 + t21
     return reduce_in_ab(diff, reducer, name)

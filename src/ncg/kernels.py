@@ -467,12 +467,18 @@ def kernel_from_coordinates(bundle, slots, coords: Mapping[tuple, GaussRat]):
 
 
 class KernelSampler:
-    """Seeded sampler over the exact nullspace of the linearity constraints."""
+    """Seeded sampler over the exact nullspace of the linearity constraints.
+    Its basis kernels (``kernels``) are checked once, at build; the residuals
+    are linear, so every sample, a combination of them, inherits their flags."""
 
     def __init__(self, bundle: EquivariantBundle, slots: int = 1):
         self.bundle = bundle
         self.slots = slots
         self.columns, self.basis = linearity_nullspace(bundle, slots)
+        self.kernels = [set_flags(kernel_from_coordinates(bundle, slots, vec))
+                        for vec in self.basis]
+        if not all(k.equivariant and k.cocycle for k in self.kernels):
+            raise VerificationError("a sampler basis kernel fails its own constraints")
 
     @property
     def dimension(self) -> int:
@@ -494,12 +500,9 @@ class KernelSampler:
             for col, value in vec.items():
                 SparseForm.put(coords, col, c * value)
         if not nonzero:
-            first = self.basis[0]
-            coords = dict(first)
+            coords = dict(self.basis[0])
         kernel = kernel_from_coordinates(self.bundle, self.slots, coords)
-        set_flags(kernel)
-        if not (kernel.equivariant and kernel.cocycle):
-            raise VerificationError("sampled kernel fails its own constraints")
+        kernel.equivariant = kernel.cocycle = True
         return kernel
 
 
@@ -581,7 +584,7 @@ def commutator_with_d(connection: ConnectionData,
     commutes with them.
 
     The result is asserted against the operator-level graded commutator on
-    the delta basis.
+    the delta basis, and its parts inherit the kernel's verified flags.
     """
     if not (kernel.equivariant and kernel.cocycle):
         raise KernelError("commutator needs a kernel with verified linearity flags")
@@ -614,7 +617,7 @@ def commutator_with_d(connection: ConnectionData,
             moved = mat_scale(translate_q(bundle, q, g.inv(gamma), mat), weight)
             put(nabla_entries, (P, desc + (gamma,), new_q), mat_neg(moved))
 
-    nabla_part = SmoothingKernel(bundle, k + 1)
+    nabla_part = SmoothingKernel(bundle, k + 1, equivariant=True, cocycle=True)
     nabla_part.values = nabla_entries
     parts = [nabla_part]
 
@@ -631,16 +634,12 @@ def commutator_with_d(connection: ConnectionData,
             if sign_k < 0:
                 total = mat_neg(total)
             put(hor_entries, (P, desc, q), total)
-        hor_part = SmoothingKernel(bundle, k)
+        hor_part = SmoothingKernel(bundle, k, equivariant=True, cocycle=True)
         hor_part.values = hor_entries
         parts.append(hor_part)
 
     result = GradedSum(SmoothingKernel, bundle, parts)
     _assert_commutator(connection, kernel, result)
-    for part in result.parts.values():
-        set_flags(part)
-        if not (part.equivariant and part.cocycle):
-            raise VerificationError("commutator output failed its linearity flags")
     return result
 
 

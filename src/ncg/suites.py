@@ -22,9 +22,8 @@ from .fixtures import Fixture
 from .forms import AbReducer, GradedSum, NCForm
 from .groupoid import canonical_h, trivial_bundle, unit_space
 from .kernels import (KernelSampler, SmoothingKernel, apply_kernel,
-                      equivariance_residuals, kernel_from_coordinates,
-                      kernel_keys, kernel_mul,
-                      omega_linearity_failures)
+                      commutator_with_d, equivariance_residuals, kernel_keys,
+                      kernel_mul, omega_linearity_failures, set_flags)
 from .modules import (ConnectionData, ModuleForm, inner_product, module_keys,
                       vector_rep)
 from .reference import convolve_reference, trace_reference
@@ -428,8 +427,7 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
 
     # forward: every nullspace basis kernel commutes with the action
     witness = None
-    for idx, vec in enumerate(sampler.basis):
-        kernel = kernel_from_coordinates(bundle, sampler.slots, vec)
+    for idx, kernel in enumerate(sampler.kernels):
         failures = omega_linearity_failures(kernel, max_cases=1)
         if failures:
             witness = {"basis-vector": idx, "failure": str(failures[0])}
@@ -479,6 +477,38 @@ def run_kernels(fixture: Fixture, seed: int = 0, trials: int = 100, **_) -> dict
             return {"slots": K.degree, "form-degree": kp}
         return None
 
+    # flags are checked where a kernel is made and inherited by sums,
+    # products and commutators; these laws re-derive the inherited flags
+    def rechecked(kernels):
+        for K in kernels:
+            K.equivariant = K.cocycle = None
+            set_flags(K)
+            if not (K.equivariant and K.cocycle):
+                return {"slots": K.degree, "flags": [K.equivariant, K.cocycle]}
+        return None
+
+    def flags_combination(rng, trial):
+        K = sampler.sample(rng)
+        return None if K is None else rechecked([K])
+
+    def flags_product(rng, trial):
+        k1, k2 = sampler.sample(rng), sampler.sample(rng)
+        if k1 is None:
+            return None
+        return rechecked([kernel_mul(k1, k2), kernel_mul(k2, k1)])
+
+    connection = fixture.connection(bundle_key)
+
+    def flags_commutator(rng, trial):
+        K = sampler.sample(rng)
+        if K is None:
+            return None
+        return rechecked(commutator_with_d(connection, K).parts.values())
+
+    flag_trials = max(trials // 4, 25)
+    rec.law("flags-combination", flag_trials, flags_combination, seed, "kernels")
+    rec.law("flags-product", flag_trials, flags_product, seed, "kernels")
+    rec.law("flags-commutator", flag_trials, flags_commutator, seed, "kernels")
     rec.law("multiplication-associativity", max(trials // 2, 50), mul_assoc,
             seed, "kernels")
     rec.law("multiplication-application", max(trials // 2, 50), mul_apply,

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -238,7 +239,7 @@ def test_verify_theorem_chart_without_connection_matrices(chart_fixture, key):
             assert verdict.passed and verdict.certificate
 
 
-def test_verify_theorem_broken_kernel_fails(rng, monkeypatch):
+def test_verify_theorem_broken_kernel_fails(rng):
     """Dense non-linear kernels genuinely break the trace identity on a
     fixture whose target fibers hold two non-unit arrows; the bypassed
     pipeline must report a nonzero residue."""
@@ -248,8 +249,6 @@ def test_verify_theorem_broken_kernel_fails(rng, monkeypatch):
         kernel.equivariant = kernel.cocycle = True
         return kernel
 
-    # bypass the flag check on the commutator's output parts
-    monkeypatch.setattr("ncg.kernels.set_flags", mark_verified)
     fx = load_fixture("z3")
     c = fx.connection("rank1")
     reducer = AbReducer(fx.groupoid)
@@ -427,6 +426,37 @@ def test_theorem_suite_checks_each_kernel_once(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == 4
     assert sum(c["name"].startswith("theorem-k") for c in report["cases"]) == 12
+
+
+def test_theorem_suite_checks_linearity_only_at_sampler_build(monkeypatch, capsys):
+    """Samples, products and commutators inherit their flags, so the only
+    residual checks of a theorem run are the sampler's, one per basis
+    kernel, made while it is built."""
+    calls, building = [], []
+    check, build = set_flags, KernelSampler.__init__
+
+    def counted(kernel):
+        calls.append(bool(building))
+        return check(kernel)
+
+    def counted_build(self, *args, **kwargs):
+        building.append(True)
+        try:
+            build(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    for name in ("kernels", "chern", "suites", "io"):
+        module = importlib.import_module(f"ncg.{name}")
+        if hasattr(module, "set_flags"):
+            monkeypatch.setattr(module, "set_flags", counted)
+    monkeypatch.setattr(KernelSampler, "__init__", counted_build)
+    assert main(["verify", "--suite", "theorem", "--fixture", "z3",
+                 "--trials", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    sampler = next(c for c in report["cases"] if c["name"] == "sampler")
+    assert sampler["certificate"] == "slots 1, dimension 24"
+    assert len(calls) == 24 and all(calls)
 
 
 def test_theorem_verdict_is_independent_of_u():

@@ -483,7 +483,7 @@ GOLDEN_REPORTS = [
     (["kernels", "sample", "z2chart", "--slots", "2", "--seed", "1"],
      "16ee1aaf460c398a2cf5b6c86104fbf19b472429bf5fc20b7921fb409168b647"),
     (["verify", "--suite", "kernels", "--fixture", "z3", "--trials", "8"],
-     "32ddf5accf9b5e533865992acd9559417eeae034708141b9341b4f3f91af1720"),
+     "a191e6d1b2599a627e7f9c679c09607d008675ba1dd525082edbf33bfad55315"),
     (["verify", "--suite", "chern", "--fixture", "z2chart"],
      "028715d4b2d4a064651ed12d7cd38fa0b0bee93f479da6fe32de27a71e50a784"),
     (["chern", "z2chart"],

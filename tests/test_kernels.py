@@ -7,14 +7,16 @@ from ncg.fixtures import load_fixture
 from ncg.forms import NCForm
 from ncg.groupoid import GroupoidError
 from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
-                         _basis_kernel, apply_kernel, apply_kernel_sum,
-                         commutator_with_d, equivariance_residuals, kernel_mul,
+                         VerificationError, _basis_kernel, apply_kernel,
+                         apply_kernel_sum, commutator_with_d,
+                         equivariance_residuals, kernel_mul,
                          linearity_constraint_columns, linearity_nullspace,
                          omega_linearity_failures, operator_to_kernel, set_flags,
                          translate_p, translate_q)
 from ncg.linalg import nullspace
 from ncg.modules import ModuleForm, nabla01, vector_rep
-from ncg.suites import random_raw_kernel, random_section, random_module_form
+from ncg.suites import (random_module_form, random_raw_kernel, random_section,
+                        run_kernels)
 
 
 def act_AB(kernel, gamma, side):
@@ -248,6 +250,54 @@ def test_sampler_contract(fixture, rng):
     assert k1.equivariant and k1.cocycle
     assert not omega_linearity_failures(k1)
     assert k1 != k2  # two draws give distinct kernels
+
+
+def test_sampler_rejects_a_nonlinear_basis_at_build(monkeypatch):
+    """Samples inherit the flags of the basis, so a basis kernel that fails
+    its constraints must stop the sampler's build."""
+    b = load_fixture("z3").bundle("rank1")
+    solve = linearity_nullspace
+
+    def with_nonlinear(bundle, slots):
+        columns, basis = solve(bundle, slots)
+        return columns, basis + [{columns[0]: GR_ONE}]
+
+    monkeypatch.setattr("ncg.kernels.linearity_nullspace", with_nonlinear)
+    with pytest.raises(VerificationError):
+        KernelSampler(b, 1)
+
+
+@pytest.mark.parametrize("slots", [0, 1, 2])
+def test_sampled_flags_match_a_recheck(fixture, slots, rng):
+    """The flags a sample is stamped with are the flags the residual system
+    finds on a copy of it."""
+    for b in fixture.bundles.values():
+        sampler = KernelSampler(b, slots)
+        for _ in range(3):
+            K = sampler.sample(rng)
+            if K is None:
+                break
+            copy = set_flags(K._like(dict(K.values)))
+            assert (K.equivariant, K.cocycle) == (copy.equivariant, copy.cocycle)
+            assert (K.equivariant, K.cocycle) == (True, True)
+
+
+def test_kernel_suite_catches_a_slot_swapping_product(monkeypatch):
+    """Products inherit their factors' flags unchecked; the kernels suite's
+    laws must still see a kernel_mul that swaps two slots of its output."""
+    product = kernel_mul
+
+    def swapped(k1, k2):
+        out = product(k1, k2)
+        out.values = {(p, desc[1::-1] + desc[2:], q): m
+                      for (p, desc, q), m in out.values.items()}
+        return out
+
+    monkeypatch.setattr("ncg.suites.kernel_mul", swapped)
+    report = run_kernels(load_fixture("z3"), seed=0, trials=8)
+    failed = {c["name"] for c in report["cases"] if c["verdict"] == "FAIL"}
+    assert not report["passed"]
+    assert failed & {"flags-product", "multiplication-application"}
 
 
 def test_sampler_equivalence_reverse(fixture, rng):
