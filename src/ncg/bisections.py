@@ -77,9 +77,6 @@ class Bisection:
                           if g.src[a] == g.tgt[b])
         return BisectionG2(g, pairs)
 
-    def targets(self) -> FrozenSet[str]:
-        return frozenset(self.groupoid.tgt[a] for a in self.arrows)
-
     def arrow_over_target(self, x: str) -> Optional[str]:
         for a in self.arrows:
             if self.groupoid.tgt[a] == x:

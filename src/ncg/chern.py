@@ -26,7 +26,9 @@ from .kernels import (KernelError, SmoothingKernel, VerificationError,
 from .modules import ConnectionData
 
 
-def _traced(bundle, mat, graded: bool):
+def fiber_trace(bundle, mat, graded: bool):
+    """Trace of a fiber matrix; the supertrace (odd diagonal entries
+    negated by the bundle grading) when graded."""
     total = None
     for i in range(bundle.rank):
         c = mat[i][i]
@@ -60,7 +62,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                 if mat is None:
                     continue
                 weight = GaussRat(h(p) * space.measure[p])
-                term = _traced(bundle, mat, graded).scale(weight)
+                term = fiber_trace(bundle, mat, graded).scale(weight)
                 total = term if total is None else total + term
             if total is not None and not total.is_zero():
                 values[(g.unit[x],)] = total
@@ -87,7 +89,7 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                     mat = kernel.values.get((p0, desc, p))
                     if mat is None:
                         continue
-                    term = _traced(bundle, translate_p(bundle, p0, gam2, mat), graded)
+                    term = fiber_trace(bundle, translate_p(bundle, p0, gam2, mat), graded)
                     acc = term if acc is None else acc + term
                 # split an interior slot chain[n-1-i], sign (-1)^i
                 p0 = space.act(p, g.inv(chain[-1]))
@@ -100,8 +102,8 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                         mat = kernel.values.get((p0, desc, p))
                         if mat is None:
                             continue
-                        term = _traced(bundle, translate_p(bundle, p0, chain[-1], mat),
-                                       graded)
+                        term = fiber_trace(
+                            bundle, translate_p(bundle, p0, chain[-1], mat), graded)
                         if i % 2:
                             term = -term
                         acc = term if acc is None else acc + term
@@ -111,8 +113,8 @@ def trace_e(kernel: SmoothingKernel, h: PartitionFunction,
                 desc = tuple(reversed(chain[:-1])) + (g0,)
                 mat = kernel.values.get((p0, desc, p))
                 if mat is not None:
-                    term = _traced(bundle, translate_p(bundle, p0, chain[-1], mat),
-                                   graded)
+                    term = fiber_trace(
+                        bundle, translate_p(bundle, p0, chain[-1], mat), graded)
                     if n % 2:
                         term = -term
                     acc = term if acc is None else acc + term
@@ -279,7 +281,7 @@ def pointwise_trace(kernel: SmoothingKernel) -> NCForm:
         chain = tuple(reversed(desc))
         g0 = g.inv(g.compose_word(chain)) if chain else g.unit[bundle.space.moment[P]]
         closed = mat_mul(bundle.act_matrix(P, g0), mat)
-        NCForm.put(values, (g0,) + chain, _traced(bundle, closed, graded=False))
+        NCForm.put(values, (g0,) + chain, fiber_trace(bundle, closed, graded=False))
     return NCForm(g, kernel.degree, values)
 
 

@@ -157,9 +157,6 @@ class GaussRat:
     def exterior_d(self) -> "GaussRat":
         return GR_ZERO
 
-    def pullback(self, matrix) -> "GaussRat":
-        return self
-
     def scale_by_form_degree(self, parity: int) -> "GaussRat":
         return self
 
@@ -289,14 +286,8 @@ class PolyFormCoeff:
                     raise CoefficientError(f"form index out of range in {form}")
                 if not isinstance(coeff, GaussRat):
                     coeff = _coerce(coeff)
-                if not coeff.is_zero():
-                    key = (exps, form)
-                    prev = clean.get(key)
-                    coeff = coeff + prev if prev is not None else coeff
-                    if coeff.is_zero():
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = coeff
+                if coeff:
+                    sparse_put(clean, (exps, form), coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
@@ -343,7 +334,7 @@ class PolyFormCoeff:
         other = self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            _put(terms, key, coeff)
+            sparse_put(terms, key, coeff)
         return PolyFormCoeff._trusted(self.dim, terms)
 
     def __sub__(self, other) -> "PolyFormCoeff":
@@ -370,8 +361,8 @@ class PolyFormCoeff:
                 if sign is None:
                     continue
                 coeff = c1 * c2
-                _put(out, (tuple(map(add, e1, e2)), form),
-                     coeff if sign > 0 else -coeff)
+                sparse_put(out, (tuple(map(add, e1, e2)), form),
+                           coeff if sign > 0 else -coeff)
         return PolyFormCoeff._trusted(self.dim, out)
 
     def __rmul__(self, other) -> "PolyFormCoeff":
@@ -403,7 +394,7 @@ class PolyFormCoeff:
                 c = coeff * e
                 if sign < 0:
                     c = -c
-                _put(out, (new_exps, merged), c)
+                sparse_put(out, (new_exps, merged), c)
         return PolyFormCoeff._trusted(self.dim, out)
 
     def pullback(self, matrix: Sequence[Sequence[GaussRat]]) -> "PolyFormCoeff":
@@ -461,7 +452,8 @@ class PolyFormCoeff:
             key = (tuple(rec["exps"]), tuple(rec.get("form", ())))
             coeff = GaussRat.parse(rec["coeff"]) if isinstance(rec["coeff"], str) \
                 else _coerce(rec["coeff"])
-            terms[key] = terms.get(key, GR_ZERO) + coeff
+            if coeff:
+                sparse_put(terms, key, coeff)
         return cls(dim, terms)
 
     def __str__(self) -> str:
@@ -489,17 +481,24 @@ def _const(dim: int, value) -> PolyFormCoeff:
     return PolyFormCoeff._trusted(dim, {((0,) * dim, ()): value} if value else {})
 
 
-def _put(terms: dict, key, coeff: GaussRat):
-    """Add coeff into terms[key]; a key whose sum is zero is dropped."""
-    prev = terms.get(key)
+def sparse_put(store: dict, key, value):
+    """Add value into store[key]; a key whose sum is zero is dropped.
+
+    The one accumulate rule for sparse maps of coefficients: chart
+    coefficient terms, row-reduction vectors and certificates, flattened
+    forms, sampler coordinates and form entries read from a file.  Such a
+    map never holds a zero.  value must be nonzero, because it is stored
+    as is when key is new.
+    """
+    prev = store.get(key)
     if prev is None:
-        terms[key] = coeff
+        store[key] = value
         return
-    coeff = prev + coeff
-    if coeff:
-        terms[key] = coeff
+    value = prev + value
+    if value:
+        store[key] = value
     else:
-        del terms[key]
+        del store[key]
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +582,7 @@ class CoefficientModel:
                 monomial = PolyFormCoeff._trusted(self.dim, {key: GR_ONE})
                 image = images[key] = monomial.pullback(self.matrices[label]).terms
             for k, v in image.items():
-                _put(out, k, c * v)
+                sparse_put(out, k, c * v)
         return PolyFormCoeff._trusted(self.dim, out)
 
     def validate_representation(self, multiply, unit_label: str) -> list:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .coefficients import GR_ONE, GaussRat, PolyFormCoeff
+from .coefficients import GR_ONE, GaussRat, PolyFormCoeff, sparse_put
 from .groupoid import GroupoidSpec
 from .linalg import RowReducer, Vector
 
@@ -397,7 +397,7 @@ def flatten_sum(forms: Iterable[NCForm]) -> Vector:
     vec: Vector = {}
     for form in forms:
         for coord, value in flatten_form(form).items():
-            SparseForm.put(vec, coord, value)
+            sparse_put(vec, coord, value)
     return vec
 
 
@@ -412,7 +412,7 @@ def _delta_generators(groupoid: GroupoidSpec, top: int, poly_bound: int):
                 out[n].append((("delta", t, None), NCForm.delta(groupoid, t, GR_ONE)))
         else:
             dim = model.dim
-            monos = _bounded_monomials(dim, poly_bound)
+            monos = bounded_monomials(dim, poly_bound)
             form_sets = _form_index_subsets(dim)
             for t in tuples:
                 for form in form_sets:
@@ -426,7 +426,7 @@ def _delta_generators(groupoid: GroupoidSpec, top: int, poly_bound: int):
     return out
 
 
-def _bounded_monomials(dim: int, bound: int):
+def bounded_monomials(dim: int, bound: int):
     if dim == 0:
         return [()]
     out = []

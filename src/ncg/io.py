@@ -15,7 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Mapping
 
-from .coefficients import CoefficientModel, GaussRat, PolyFormCoeff
+from .coefficients import (SCALAR_MODEL, CoefficientModel, GaussRat, PolyFormCoeff,
+                           sparse_put)
 from .fixtures import Fixture, bundled_fixtures, load_fixture
 from .forms import NCForm
 from .groupoid import (EquivariantBundle, FiberedSpace, GroupoidError,
@@ -36,13 +37,19 @@ def _read(path_or_data) -> dict:
     return path_or_data
 
 
+def _exact(number):
+    """number itself, unless it is a float that is not an integer: JSON
+    numbers are read exactly or rejected."""
+    if isinstance(number, float) and not number.is_integer():
+        raise LoadError(f"non-exact number {number!r}")
+    return number
+
+
 def _coeff_from_json(model: CoefficientModel, data):
     if isinstance(data, str):
         return model.from_gauss(GaussRat.parse(data))
     if isinstance(data, (int, float)):
-        if isinstance(data, float) and not data.is_integer():
-            raise LoadError(f"non-exact numeric coefficient {data!r}")
-        return model.from_gauss(GaussRat(int(data)))
+        return model.from_gauss(GaussRat(int(_exact(data))))
     if isinstance(data, list):
         if model.kind != "chart":
             raise LoadError("record-list coefficients need a chart groupoid")
@@ -58,11 +65,6 @@ def coeff_to_json(coeff):
 
 def _matrix_from_json(model, rows):
     return tuple(tuple(_coeff_from_json(model, v) for v in row) for row in rows)
-
-
-def _gauss_matrix_from_json(rows):
-    return tuple(tuple(GaussRat.parse(v) if isinstance(v, str) else GaussRat(int(v))
-                       for v in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ def load_groupoid(source) -> GroupoidSpec:
     model = CoefficientModel("scalar")
     chart = data.get("chart")
     if chart:
-        matrices = {label: _gauss_matrix_from_json(mat)
+        matrices = {label: _matrix_from_json(SCALAR_MODEL, mat)
                     for label, mat in chart["matrices"].items()}
         model = CoefficientModel("chart", dim=int(chart["dim"]), matrices=matrices)
     try:
@@ -145,7 +147,7 @@ def load_space(source, groupoid: GroupoidSpec) -> FiberedSpace:
         points = list(data["points"])
         moment = dict(data["moment"])
         action = {(p, a): q for p, a, q in data["action"]}
-        measure = {p: Fraction(v) for p, v in data.get(
+        measure = {p: Fraction(_exact(v)) for p, v in data.get(
             "measure", {p: 1 for p in points}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed space file: {exc}") from exc
@@ -159,16 +161,15 @@ def load_space(source, groupoid: GroupoidSpec) -> FiberedSpace:
 
 def load_bundle(source, space: FiberedSpace) -> EquivariantBundle:
     data = _read(source)
-    model = space.groupoid.model
     try:
         rank = int(data["rank"])
         action = {}
         for key, mat in data["action"].items():
             p, arrow = [part.strip() for part in key.strip("()").split(",")]
-            action[(p, arrow)] = _gauss_matrix_from_json(mat)
+            action[(p, arrow)] = _matrix_from_json(SCALAR_MODEL, mat)
         metric = None
         if "metric" in data:
-            metric = {p: _gauss_matrix_from_json(mat)
+            metric = {p: _matrix_from_json(SCALAR_MODEL, mat)
                       for p, mat in data["metric"].items()}
         grading = data.get("grading")
     except (KeyError, TypeError, ValueError) as exc:
@@ -185,7 +186,10 @@ def load_partition(source, space: FiberedSpace) -> PartitionFunction:
     if source == "canonical":
         return canonical_h(space)
     data = _read(source) if not isinstance(source, Mapping) else source
-    values = {p: Fraction(v) for p, v in data.items()}
+    try:
+        values = {p: Fraction(_exact(v)) for p, v in data.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise LoadError(f"malformed partition function: {exc}") from exc
     return PartitionFunction(space, values)
 
 
@@ -209,7 +213,8 @@ def load_form(source, groupoid: GroupoidSpec,
             dropped.append(key)
             continue
         coeff = _coeff_from_json(groupoid.model, rec["coeff"])
-        values[key] = values.get(key, groupoid.model.zero()) + coeff
+        if coeff:
+            sparse_put(values, key, coeff)
     if dropped:
         if reject_degenerate:
             raise LoadError(f"degenerate tuples in form file: {dropped}")

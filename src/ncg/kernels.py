@@ -22,8 +22,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .coefficients import (GR_ONE, GaussRat, PolyFormCoeff, identity_matrix,
                            mat_add, mat_is_zero, mat_mul, mat_neg, mat_scale,
                            mat_transport, mat_twist, mat_vec, vec_neg, vec_scale,
-                           vec_transport, zero_matrix)
-from .forms import GradedSum, NCForm, SparseForm, _bounded_monomials
+                           sparse_put, vec_transport, zero_matrix)
+from .forms import GradedSum, NCForm, SparseForm, bounded_monomials
 from .groupoid import EquivariantBundle, FiberedSpace
 from .linalg import nullspace
 from .modules import ConnectionData, ModuleForm, module_keys, vector_rep
@@ -401,20 +401,7 @@ def _coefficient_basis(model):
     if model.kind == "scalar":
         return [None]  # a single GaussRat unknown per matrix position
     return [(exps, ()) for exps in sorted(
-        _bounded_monomials(model.dim, SAMPLER_POLY_DEGREE), key=sum)]
-
-
-def _basis_kernel(bundle, slots, key, i, j, term):
-    model = bundle.groupoid.model
-    if term is None:
-        coeff = model.from_gauss(GR_ONE)
-    else:
-        coeff = PolyFormCoeff.monomial(model.dim, term[0], term[1])
-    mat = tuple(tuple(coeff if (a, b) == (i, j) else model.zero()
-                      for b in range(bundle.rank)) for a in range(bundle.rank))
-    out = SmoothingKernel(bundle, slots)
-    out.values = {key: mat}
-    return out
+        bounded_monomials(model.dim, SAMPLER_POLY_DEGREE), key=sum)]
 
 
 def linearity_constraint_columns(bundle: EquivariantBundle, slots: int):
@@ -435,7 +422,8 @@ def linearity_nullspace(bundle: EquivariantBundle, slots: int):
     columns = linearity_constraint_columns(bundle, slots)
     rows: Dict[tuple, Dict[tuple, GaussRat]] = {}
     for col in columns:
-        residuals = equivariance_residuals(_basis_kernel(bundle, slots, *col))
+        residuals = equivariance_residuals(
+            kernel_from_coordinates(bundle, slots, {col: GR_ONE}))
         for tag, part in enumerate(residuals):
             for witness, mat in part.items():
                 for i, row in enumerate(mat):
@@ -474,7 +462,7 @@ class KernelSampler:
     def __init__(self, bundle: EquivariantBundle, slots: int = 1):
         self.bundle = bundle
         self.slots = slots
-        self.columns, self.basis = linearity_nullspace(bundle, slots)
+        self.basis = linearity_nullspace(bundle, slots)[1]
         self.kernels = [set_flags(kernel_from_coordinates(bundle, slots, vec))
                         for vec in self.basis]
         if not all(k.equivariant and k.cocycle for k in self.kernels):
@@ -498,7 +486,7 @@ class KernelSampler:
                 continue
             nonzero = True
             for col, value in vec.items():
-                SparseForm.put(coords, col, c * value)
+                sparse_put(coords, col, c * value)
         if not nonzero:
             coords = dict(self.basis[0])
         kernel = kernel_from_coordinates(self.bundle, self.slots, coords)

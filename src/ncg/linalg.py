@@ -9,27 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-from .coefficients import GR_ONE, GR_ZERO, GaussRat
+from .coefficients import GR_ONE, GR_ZERO, GaussRat, sparse_put
 
 
 Vector = Dict[Hashable, GaussRat]
-
-
-def sparse_add(a: Vector, b: Vector, scale: GaussRat = GR_ONE) -> Vector:
-    out = dict(a)
-    for key, value in b.items():
-        acc = out.get(key, GR_ZERO) + value * scale
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
-
-
-def sparse_scale(a: Vector, scale: GaussRat) -> Vector:
-    if scale.is_zero():
-        return {}
-    return {k: v * scale for k, v in a.items()}
 
 
 class RowReducer:
@@ -61,22 +44,14 @@ class RowReducer:
             steps.append((hit, coeff))
             scale = -coeff
             for key, value in pivots[hit][0].items():
-                acc = vec.get(key, GR_ZERO) + value * scale
-                if acc.is_zero():
-                    vec.pop(key, None)
-                else:
-                    vec[key] = acc
+                sparse_put(vec, key, value * scale)
 
     def _combine(self, steps) -> Dict[Hashable, GaussRat]:
         """The generator combination that the elimination steps subtracted."""
         combo: Dict[Hashable, GaussRat] = {}
         for hit, coeff in steps:
             for label, c in self.pivots[hit][1].items():
-                acc = combo.get(label, GR_ZERO) + coeff * c
-                if acc.is_zero():
-                    combo.pop(label, None)
-                else:
-                    combo[label] = acc
+                sparse_put(combo, label, coeff * c)
         return combo
 
     def insert(self, vec: Vector, label: Hashable) -> bool:
@@ -91,10 +66,10 @@ class RowReducer:
         combo = self._combine(steps)
         col = min(residue, key=repr)  # deterministic across mixed key types
         inv = residue[col].inverse()
-        row = sparse_scale(residue, inv)
+        row = {key: value * inv for key, value in residue.items()}
         cert = {label: inv}
         for lab, c in combo.items():
-            cert[lab] = cert.get(lab, GR_ZERO) - c * inv
+            sparse_put(cert, lab, -c * inv)
         self.pivots[col] = (row, cert)
         return True
 
@@ -109,22 +84,19 @@ def nullspace(rows: Iterable[Vector], columns: Sequence[Hashable]) -> List[Vecto
     """Basis of the solution space of (rows) . x = 0 over the given columns."""
     order = {col: i for i, col in enumerate(columns)}
     reducer = RowReducer()
-    inserted: List[Hashable] = []
     for i, row in enumerate(rows):
-        if row and reducer.insert(row, i):
-            new_cols = set(reducer.pivots) - set(inserted)
-            inserted.extend(new_cols)
+        if row:
+            reducer.insert(row, i)
     # full reduced echelon form: stored rows only lack earlier pivot
     # columns, so eliminate in reverse insertion order
     pivots = {col: dict(row) for col, (row, _) in reducer.pivots.items()}
-    for col in reversed(inserted):
+    for col in reversed(pivots):
         prow = pivots[col]
         for other, row in pivots.items():
-            if other == col:
-                continue
             coeff = row.get(col)
-            if coeff is not None and not coeff.is_zero():
-                pivots[other] = sparse_add(row, prow, -coeff)
+            if coeff is not None and other != col:
+                for key, value in prow.items():
+                    sparse_put(row, key, value * -coeff)
     pivot_rows = sorted(pivots.items(), key=lambda kv: order[kv[0]])
     pivot_cols = set(pivots)
     basis = []
@@ -134,7 +106,7 @@ def nullspace(rows: Iterable[Vector], columns: Sequence[Hashable]) -> List[Vecto
         vec: Vector = {free: GR_ONE}
         for col, row in pivot_rows:
             coeff = row.get(free)
-            if coeff is not None and not coeff.is_zero():
+            if coeff is not None:
                 vec[col] = -coeff
         basis.append(vec)
     return basis

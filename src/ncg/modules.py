@@ -88,10 +88,6 @@ class ModuleForm(SparseForm):
         model = self.bundle.groupoid.model
         return self.values.get((p, tuple(word)), (model.zero(),) * self.bundle.rank)
 
-    def endpoint(self, key) -> str:
-        p, word = key
-        return self.bundle.space.act_word(p, word)
-
     def __repr__(self):
         bits = ", ".join(f"{p}|{','.join(w)}: ({', '.join(str(c) for c in v)})"
                          for (p, w), v in self.entries())

@@ -4,8 +4,12 @@ These are deliberately literal, unoptimized re-implementations used as
 oracles against convolution-order or index-convention drift in the primary
 code paths: the product is evaluated tuple by tuple over the whole tuple
 space with explicit split positions, and the trace is evaluated term by
-term from its displayed alternating sum.  Neither shares code with the
-entry-driven implementations in ``forms`` and ``chern``.
+term from its displayed alternating sum.  They share only the pointwise
+steps with the primary code: the fiber (super)trace ``chern.fiber_trace``
+and the move of a kernel entry along an arrow ``kernels.translate_p``.
+The alternating-sum structure under test, which tuples and splits occur
+and with which signs, is written here independently of ``forms`` and
+``chern``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .coefficients import GaussRat
 from .forms import NCForm
 from .groupoid import PartitionFunction
 from .kernels import SmoothingKernel, translate_p
-from .chern import _traced
+from .chern import fiber_trace
 
 
 def convolve_reference(w1: NCForm, w2: NCForm) -> NCForm:
@@ -72,7 +76,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
             if n == 0:
                 mat = kernel.values.get((p, (), p))
                 if mat is not None:
-                    bracket = _traced(bundle, mat, graded)
+                    bracket = fiber_trace(bundle, mat, graded)
             else:
                 if g.is_unit(g0):
                     for gam, gam2 in g.decompositions(rest[-1]):
@@ -81,7 +85,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
                         mat = kernel.values.get(p0_key)
                         if mat is None:
                             continue
-                        term = _traced(bundle, translate_p(
+                        term = fiber_trace(bundle, translate_p(
                             bundle, p0_key[0], gam2, mat), graded)
                         bracket = term if bracket is None else bracket + term
                     for i in range(1, n):
@@ -92,7 +96,7 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
                             mat = kernel.values.get((p0, desc, p))
                             if mat is None:
                                 continue
-                            term = _traced(bundle, translate_p(
+                            term = fiber_trace(bundle, translate_p(
                                 bundle, p0, rest[-1], mat), graded)
                             if i % 2:
                                 term = -term
@@ -101,8 +105,8 @@ def trace_reference(kernel: SmoothingKernel, h: PartitionFunction,
                 desc = tuple(reversed(rest[:-1])) + (g0,)
                 mat = kernel.values.get((p0, desc, p))
                 if mat is not None:
-                    term = _traced(bundle, translate_p(bundle, p0, rest[-1], mat),
-                                   graded)
+                    term = fiber_trace(
+                        bundle, translate_p(bundle, p0, rest[-1], mat), graded)
                     if n % 2:
                         term = -term
                     bracket = term if bracket is None else bracket + term

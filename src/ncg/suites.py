@@ -117,13 +117,12 @@ class Recorder:
     def __init__(self):
         self.cases: List[dict] = []
 
-    def record(self, name: str, passed: bool, detail=None, certificate=None,
-               residue=None):
+    def record(self, name: str, passed: bool, certificate=None, residue=None):
         case = {"name": name, "verdict": "PASS" if passed else "FAIL"}
         if certificate is not None:
             case["certificate"] = certificate
         if not passed:
-            case["residue"] = residue if residue is not None else detail
+            case["residue"] = residue
         self.cases.append(case)
 
     def record_verdict(self, verdict: Verdict,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncg.coefficients import (CoefficientError, CoefficientModel, GaussRat,
                               GR_I, GR_ONE, PolyFormCoeff, identity_matrix,
-                              mat_mul)
+                              mat_mul, sparse_put)
 from ncg.fixtures import load_fixture
 
 
@@ -147,6 +147,9 @@ class TestPolyForm:
         w = PolyFormCoeff(1, {((2,), (1,)): GaussRat(1, 2, 3),
                               ((0,), ()): GR_ONE})
         assert PolyFormCoeff.from_records(1, w.to_records()) == w
+        # records of one key are summed; a sum of zero leaves no term
+        cancelling = w.to_records() + (-w).to_records()
+        assert PolyFormCoeff.from_records(1, cancelling).terms == {}
 
 
 class TestModel:
@@ -342,3 +345,15 @@ def test_identity_label_pullback_is_unchanged():
     assert model.pullback(coeff, unit) is coeff
     with pytest.raises(CoefficientError):
         model.pullback(coeff, "no-such-label")
+
+
+def test_sparse_put_drops_a_cancelled_key():
+    store = {}
+    sparse_put(store, "a", GaussRat(Fraction(1, 2)))
+    sparse_put(store, "b", GR_I)
+    sparse_put(store, "a", GaussRat(Fraction(1, 3)))
+    assert store == {"a": GaussRat(Fraction(5, 6)), "b": GR_I}
+    sparse_put(store, "a", -store["a"])
+    assert store == {"b": GR_I}
+    sparse_put(store, "b", -GR_I)
+    assert store == {}

@@ -167,6 +167,9 @@ def test_reducer_certificate_is_exact(fixture, rng):
         ok, combo = reducer.is_zero_in_ab(comm)
         assert ok
         assert _replay(reducer, combo) == flatten_form(comm)
+        # w and -w cancel coordinate by coordinate, leaving no zero behind
+        assert flatten_sum([w1, -w1]) == {}
+        assert flatten_sum([w2, comm, -w2]) == flatten_form(comm)
 
 
 def test_reducer_reaches_the_query_polynomial_degree(chart_fixture):

@@ -245,6 +245,54 @@ def test_cli_validate_ok(capsys):
     assert all(c["valid"] for c in out["components"])
 
 
+def _write_z2_space(tmp_path, measure):
+    fx = load_fixture("z2")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({
+        "points": list(fx.space.points),
+        "moment": fx.space.moment,
+        "action": [[p, a, q] for (p, a), q in sorted(fx.space.action.items())],
+        "measure": {p: measure for p in fx.space.points},
+    }))
+    return path.name
+
+
+@pytest.mark.parametrize("part,exact,inexact", [
+    ("metric", 1.0, 1.5), ("action", 1.0, 1.5),
+    ("measure", "1/10", 0.1), ("h", "1/2", 0.5)])
+def test_cli_validate_rejects_inexact_json_numbers(tmp_path, capsys, part,
+                                                   exact, inexact):
+    """A JSON number is read exactly or rejected: a float that is not an
+    integer is malformed input, wherever in a file manifest it appears."""
+    manifest = _write_z2_manifest(tmp_path)
+    bpath = tmp_path / "bundle.json"
+    for value, code in ((exact, 0), (inexact, 2)):
+        data = json.loads(manifest.read_text())
+        bundle = json.loads(bpath.read_text())
+        if part in ("metric", "action"):
+            bundle[part] = {k: [[value]] for k in bundle[part]}
+        elif part == "measure":
+            data["space"] = _write_z2_space(tmp_path, value)
+        else:
+            data["h"] = {"e": value, "g1": value}
+        bpath.write_text(json.dumps(bundle))
+        manifest.write_text(json.dumps(data))
+        assert main(["validate", str(manifest)]) == code, (part, value)
+        if code:
+            assert "non-exact number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [{"e": None, "g1": None}, ["e", "g1"],
+                               {"e": [1], "g1": 1}])
+def test_cli_validate_rejects_a_malformed_partition_function(tmp_path, capsys, h):
+    manifest = _write_z2_manifest(tmp_path)
+    data = json.loads(manifest.read_text())
+    data["h"] = h
+    manifest.write_text(json.dumps(data))
+    assert main(["validate", str(manifest)]) == 2
+    assert "malformed partition function" in capsys.readouterr().err
+
+
 def test_cli_validate_corrupted_exits_2(tmp_path, capsys):
     data = groupoid_to_json(load_fixture("pair2").groupoid)
     for t in data["compose"]:

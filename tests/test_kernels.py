@@ -7,11 +7,12 @@ from ncg.fixtures import load_fixture
 from ncg.forms import NCForm
 from ncg.groupoid import GroupoidError
 from ncg.kernels import (KernelError, KernelSampler, SmoothingKernel,
-                         VerificationError, _basis_kernel, apply_kernel,
+                         VerificationError, apply_kernel,
                          apply_kernel_sum, commutator_with_d,
                          equivariance_residuals, kernel_mul,
                          linearity_constraint_columns, linearity_nullspace,
-                         omega_linearity_failures, operator_to_kernel, set_flags,
+                         kernel_from_coordinates, omega_linearity_failures,
+                         operator_to_kernel, set_flags,
                          translate_p, translate_q)
 from ncg.linalg import nullspace
 from ncg.modules import ModuleForm, nabla01, vector_rep
@@ -170,7 +171,7 @@ def _sweep_nullspace(bundle, slots):
     columns = linearity_constraint_columns(bundle, slots)
     rows = {}
     for col in columns:
-        basis = _basis_kernel(bundle, slots, *col)
+        basis = kernel_from_coordinates(bundle, slots, {col: GR_ONE})
         for gamma in g.nonunit_arrows():
             f = NCForm.delta(g, (gamma,))
             for n, F in enumerate(ModuleForm.basis(bundle, 0)):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncg.coefficients import GaussRat, GR_ONE, GR_ZERO
+from ncg.coefficients import GaussRat, GR_ONE, GR_ZERO, sparse_put
 from ncg.linalg import (RowReducer, is_positive_definite_hermitian,
-                        mat_inverse, nullspace, sparse_add)
+                        mat_inverse, nullspace)
 
 
 def determinant(mat):
@@ -33,6 +33,14 @@ def sylvester(mat):
     return True
 
 
+def negated(vec):
+    return {key: -value for key, value in vec.items()}
+
+
+def zero_free(vec) -> bool:
+    return all(value for value in vec.values())
+
+
 def random_system(rng, max_rows=6, max_cols=7, density=0.6):
     n_rows = rng.randint(1, max_rows)
     n_cols = rng.randint(1, max_cols)
@@ -53,7 +61,9 @@ def test_nullspace_kernel_property():
     rng = random.Random(3)
     for _ in range(150):
         rows, cols = random_system(rng)
+        rows.append(negated(rows[0]))  # cancels against the first row
         basis = nullspace(rows, cols)
+        assert all(map(zero_free, basis))
         for vec in basis:
             for row in rows:
                 acc = GR_ZERO
@@ -77,17 +87,36 @@ def test_row_reducer_certificates():
             if row:
                 originals[i] = row
                 reducer.insert(row, i)
+                # -row lies in the span: it cancels to an empty residue
+                assert not reducer.insert(negated(row), ("neg", i))
+        for row, cert in reducer.pivots.values():
+            assert zero_free(row) and zero_free(cert)
         # random combination of inserted rows must reduce with a certificate
         target = {}
         for i, row in originals.items():
             c = GaussRat(rng.randint(-2, 2))
-            target = sparse_add(target, row, c)
+            if c:
+                for key, value in row.items():
+                    sparse_put(target, key, value * c)
         residue, combo = reducer.express(target)
-        assert not residue
+        assert not residue and zero_free(combo)
         replay = {}
         for label, c in combo.items():
-            replay = sparse_add(replay, originals[label], c)
+            for key, value in originals[label].items():
+                sparse_put(replay, key, value * c)
         assert replay == target
+
+
+def test_row_reducer_certificate_drops_a_cancelled_label():
+    a, b, c = GaussRat(1), GaussRat(2), GaussRat(0, 1)
+    reducer = RowReducer()
+    assert reducer.insert({0: a}, "A")
+    assert reducer.insert({0: a, 1: b}, "B")  # pivot 1 holds (B - A) / 2
+    # eliminating {0: 1, 1: 2} subtracts A, then B - A: A cancels
+    residue, combo = reducer.express({0: a, 1: b})
+    assert residue == {} and combo == {"B": GR_ONE}
+    assert reducer.insert({0: a, 1: b, 2: c}, "C")
+    assert reducer.pivots[2][1] == {"C": c.inverse(), "B": -c.inverse()}
 
 
 def test_matrix_inverse_and_determinant():
